@@ -126,7 +126,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the dense-dimension cap to 200000",
+        help="raise the lift-dimension cap to 200000",
     )
 
 

@@ -55,7 +55,7 @@ class NonFiniteStateError(CarlemanLabError):
 
 
 class DimensionCapError(CarlemanLabError):
-    """A dense Carleman assembly would exceed the configured size cap."""
+    """A Carleman lift would exceed the configured dimension cap."""
 
     def __init__(self, required: int, cap: int):
         super().__init__(

@@ -343,6 +343,11 @@ def origin_hull_status(points) -> HullStatus:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
     xy = np.column_stack([pts.real, pts.imag])
+    # roundoff-level coordinates (a real spectrum from a complex
+    # eigensolver) would span a sliver hull whose short edges pass the
+    # slack test on both sides of the origin; snap them onto the axis
+    scale = float(np.max(np.abs(pts)))
+    xy[np.abs(xy) <= HULL_SLACK * scale] = 0.0
     verts = _hull_vertices(xy)
     bdist = _boundary_distance(verts)
     if _origin_in_hull(verts):

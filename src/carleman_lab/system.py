@@ -145,29 +145,7 @@ def integrate_reference(
     def f(_t, y):
         return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
 
-    if t.size == 1:
-        return Trajectory(t, v0[None, :].copy(), rel_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
-        sol = solve_ivp(
-            f,
-            (0.0, float(t[-1])),
-            v0.astype(complex),
-            method="RK45",
-            t_eval=t,
-            rtol=max(rel_tol, 3e-14),
-            atol=abs_tol,
-            dense_output=False,
-        )
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower() or sol.status == -1:
-            raise StepSizeUnderflowError(msg)
-        raise NonFiniteStateError(msg)
-    states = sol.y.T
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteStateError("integration produced non-finite state")
-    return Trajectory(t, states, rel_tol)
+    return _dormand_prince(f, v0, t, rel_tol, abs_tol)
 
 
 def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
@@ -180,10 +158,20 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
+    return _dormand_prince(f, v0, t, rel_tol, abs_tol)
+
+
+def _dormand_prince(f, v0: np.ndarray, t: np.ndarray, rel_tol, abs_tol) -> Trajectory:
+    """RK45 solve of xdot = f(t, x) sampled at t, with one failure policy.
+
+    A collapsed step raises :class:`StepSizeUnderflowError`, any other
+    solver failure or a non-finite sampled state raises
+    :class:`NonFiniteStateError`.
+    """
     if t.size == 1:
         return Trajectory(t, v0[None, :].copy(), rel_tol)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
         sol = solve_ivp(
             f,
             (0.0, float(t[-1])),
@@ -194,5 +182,11 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
             atol=abs_tol,
         )
     if not sol.success:
-        raise StepSizeUnderflowError(sol.message or "integration failed")
-    return Trajectory(t, sol.y.T, rel_tol)
+        msg = sol.message or "integration failed"
+        if "step size" in msg.lower() or sol.status == -1:
+            raise StepSizeUnderflowError(msg)
+        raise NonFiniteStateError(msg)
+    states = sol.y.T
+    if not np.all(np.isfinite(states)):
+        raise NonFiniteStateError("integration produced non-finite state")
+    return Trajectory(t, states, rel_tol)

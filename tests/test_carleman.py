@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from carleman_lab import linalg
 from carleman_lab.carleman import (
     assemble_dense,
     build_blocks,
@@ -11,7 +13,12 @@ from carleman_lab.carleman import (
     split_blocks,
     total_dimension,
 )
-from carleman_lab.errors import DimensionCapError, DimensionMismatchError
+from carleman_lab.cli import main
+from carleman_lab.errors import (
+    DimensionCapError,
+    DimensionMismatchError,
+    MatrixOverflowError,
+)
 from carleman_lab.linalg import tensor_power
 from carleman_lab.system import QuadraticSystem, integrate_reference
 
@@ -42,7 +49,7 @@ class TestBuildBlocks:
         sys = random_system(0)
         cm = build_blocks(QuadraticSystem(f0=np.zeros(2), f1=sys.f1, f2=sys.f2), 3)
         for j in range(2, 4):
-            assert np.count_nonzero(cm.block_lower(j)) == 0
+            assert np.count_nonzero(cm.block_lower(j).toarray()) == 0
         assert np.count_nonzero(cm.drive) == 0
 
     def test_level_two_diagonal_is_kronecker_sum(self):
@@ -50,11 +57,45 @@ class TestBuildBlocks:
         cm = build_blocks(sys, 2)
         eye = np.eye(2)
         expected = np.kron(sys.f1, eye) + np.kron(eye, sys.f1)
-        assert np.allclose(cm.block_diag(2), expected, atol=1e-15)
+        assert np.allclose(cm.block_diag(2).toarray(), expected, atol=1e-15)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             build_blocks(random_system(2), 6, cap=50)
+
+    def test_blocks_are_csr_and_count_stored_bytes(self):
+        cm = build_blocks(random_system(3), 3)
+        for block in (*cm.lower, *cm.diag, *cm.upper):
+            assert sp.issparse(block) and block.format == "csr"
+            stored = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+            assert block.nbytes == stored
+
+    @pytest.mark.parametrize("n, k", [(1, 5), (2, 4), (3, 3)])
+    def test_blocks_match_dense_kronecker_shift_sums(self, n, k):
+        def shift_sum(op, j):
+            return sum(
+                np.kron(np.kron(np.eye(n**l), op), np.eye(n ** (j - 1 - l)))
+                for l in range(j)
+            )
+
+        sys = random_system(5 + n, n=n)
+        cm = build_blocks(sys, k)
+        for j in range(1, k + 1):
+            pairs = [(cm.block_diag(j), sys.f1), (cm.block_upper(j), sys.f2)]
+            if j >= 2:
+                pairs.append((cm.block_lower(j), sys.f0.reshape(n, 1)))
+            for block, op in pairs:
+                assert np.allclose(block.toarray(), shift_sum(op, j), rtol=0, atol=1e-14)
+
+    def test_truncation_is_a_fresh_lower_order_build(self):
+        sys = random_system(4)
+        full = build_blocks(sys, 5)
+        for k in range(1, 6):
+            fresh = build_blocks(sys, k)
+            assert np.array_equal(
+                assemble_dense(full.truncated(k)), assemble_dense(fresh)
+            )
+            assert np.array_equal(full.truncated(k).drive, fresh.drive)
 
 
 class TestAssembleDense:
@@ -140,6 +181,51 @@ class TestIntegrateLift:
         with pytest.raises(DimensionMismatchError):
             integrate_lift(cm, np.zeros(5), [0.0, 1.0])
 
+    def test_overflow_raises(self):
+        # e^{800} is past the float range
+        cm = build_blocks(scalar_system(400.0, 0.0), 1)
+        with pytest.raises(MatrixOverflowError):
+            integrate_lift(cm, [1.0], [0.0, 2.0])
+
+    def test_dimension_cap(self):
+        cm = build_blocks(random_system(2), 4)
+        with pytest.raises(DimensionCapError):
+            integrate_lift(cm, initial_lift([0.1, 0.1], 4), [0.0, 1.0], cap=20)
+
+
+def dense_lift(cm, y0, times):
+    """The dense oracle: [y; 1] stepped by e^{dt G} from linalg.matrix_exp."""
+    a = assemble_dense(cm)
+    dim = a.shape[0]
+    aug = np.zeros((dim + 1, dim + 1), dtype=complex)
+    aug[:dim, :dim] = a
+    aug[:dim, dim] = cm.drive
+    current = np.concatenate([y0, [1.0]])
+    states = [y0]
+    for dt in np.diff(times):
+        current = linalg.matrix_exp(aug, dt) @ current
+        states.append(current[:dim])
+    return np.array(states)
+
+
+class TestSparseActionOracle:
+    @pytest.mark.parametrize("n, k", [(2, 7), (3, 5), (4, 4), (6, 3)])
+    def test_matches_dense_exponential_on_uneven_steps(self, n, k):
+        rng = np.random.default_rng(100 + n)
+        sys = QuadraticSystem(
+            f0=0.1 * rng.standard_normal(n),
+            f1=rng.standard_normal((n, n)) / n - 1.3 * np.eye(n),
+            f2=0.1 * rng.standard_normal((n, n * n)) / n,
+        )
+        cm = build_blocks(sys, k)
+        assert cm.total_dim <= 400
+        times = np.linspace(0.0, 1.0, 11)  # float steps of unequal size
+        assert len({float(dt) for dt in np.diff(times)}) > 1
+        y0 = initial_lift(0.3 * rng.standard_normal(n) / np.sqrt(n), k)
+        expected = dense_lift(cm, y0, times)
+        got = integrate_lift(cm, y0, times).states
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestErrorProfile:
     def test_linear_system_exact(self):
@@ -214,6 +300,47 @@ class TestConvergenceSweep:
         assert np.abs(traj.states).max() <= 0.81
         sweep = convergence_sweep(sys, [0.8], range(2, 9), 3.0)
         assert sweep["fitted_ratio"] >= 1
+
+
+class TestSlicedSweep:
+    @pytest.mark.parametrize("n, k_max", [(2, 6), (3, 4)])
+    def test_errors_match_fresh_builds(self, n, k_max):
+        sys = random_system(20 + n, n=n)
+        x0 = np.full(n, 0.3)
+        ks = range(2, k_max + 1)
+        sweep = convergence_sweep(sys, x0, ks, 1.0)
+        times = np.array([0.0, 1.0])
+        for k in ks:
+            fresh = error_profile(sys, x0, k, times).block_norms[-1, 0]
+            assert abs(sweep["errors"][k] - fresh) <= 1e-13
+
+
+class TestDeterminism:
+    # scipy's expm_multiply switches to a randomized 1-norm estimate once
+    # t * ||A - mu I||_1 exceeds Al-Mohy & Higham's (3.13) bound, about 63
+    ARGV = ["simulate", "--fixture", "damped_oscillator", "--k", "6", "--t", "40",
+            "--steps", "2"]
+
+    def test_setup_is_past_the_randomized_threshold(self):
+        from carleman_lab.fixtures import damped_oscillator
+
+        cm = build_blocks(damped_oscillator().system, 6)
+        a = cm.generator()
+        shifted = a - a.trace() / a.shape[0] * sp.identity(a.shape[0])
+        assert 20.0 * abs(shifted).sum(axis=0).max() > 63.4
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_global_rng_untouched(self, tmp_path):
+        before = np.random.get_state()
+        assert main([*self.ARGV, "--out", str(tmp_path / "a.csv")]) == 0
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
 
 
 def test_total_dimension():

@@ -310,6 +310,31 @@ class TestDiagonalize:
         assert code == 4
 
 
+    def test_real_spectrum_keeps_block_bounds(self, tmp_path):
+        # the CLI reads matrices as complex, so this real spectrum reaches
+        # the hull test with imaginary parts of about 1e-17
+        rng = np.random.default_rng(24)
+        n = 4
+        lams = -1.0 - 0.9 * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
+        basis = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+        sysd = QuadraticSystem(
+            f0=np.zeros(n),
+            f1=basis @ np.diag(lams) @ np.linalg.inv(basis),
+            f2=0.1 * rng.standard_normal((n, n * n)) / n,
+        )
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(system_to_json(sysd))
+        out = tmp_path / "diag.json"
+        argv = ["diagonalize", "--system", str(sys_file), "--x0", "0.1,0.1,0.1,0.1"]
+        code = run([*argv, "--k", "3", "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["delta"] > 0
+        rows = [*data["blocks"].values(), *data["inverse_blocks"].values()]
+        assert rows and all(row["bound"] is not None for row in rows)
+        assert all(row["norm"] <= row["bound"] for row in rows)
+
+
 class TestCombinatorics:
     def test_all_identities_pass(self, tmp_path):
         out = tmp_path / "comb.csv"

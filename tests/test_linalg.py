@@ -216,6 +216,15 @@ class TestOriginHull:
         with pytest.raises(EmptyInputError):
             linalg.origin_hull_status([])
 
+    def test_near_real_spectrum_outside(self):
+        # a real spectrum through a complex eigensolver: roundoff-level
+        # imaginary parts must not make a sliver hull that holds the origin
+        pts = np.array([-1.1 + 1e-18j, -1.4 - 1e-18j, -1.7 + 1e-18j, -1.9 - 1e-18j])
+        status = linalg.origin_hull_status(pts)
+        assert not status.inside
+        assert status.distance == pytest.approx(1.1, abs=1e-12)
+        assert status.separating_direction == pytest.approx(-1.0, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_direction_distance_consistency(self, seed):
         rng = np.random.default_rng(seed)

@@ -76,6 +76,16 @@ class TestClassifyDomain:
     def test_origin_on_hull(self):
         assert classify_domain([0.0, -1.0]) == BOUNDARY
 
+    def test_near_real_spectrum_is_poincare(self):
+        lams = [-1.1 + 1e-18j, -1.4 - 1e-18j, -1.7 + 1e-18j, -1.9 - 1e-18j]
+        assert classify_domain(lams) == POINCARE
+
+    def test_origin_on_triangle_edge_stays_boundary(self):
+        assert classify_domain([1j, -1j, -1.0]) == BOUNDARY
+
+    def test_surrounded_origin_stays_siegel(self):
+        assert classify_domain([1.0, -1.0 + 1j, -1.0 - 1j, 1e-18j]) == SIEGEL
+
 
 class TestDeltaGap:
     def test_scalar_value(self):

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from carleman_lab import linalg
 from carleman_lab.errors import (
     DimensionMismatchError,
+    NonFiniteStateError,
     NonPositiveGammaError,
     StepSizeUnderflowError,
 )
 from carleman_lab.system import (
     QuadraticSystem,
+    integrate_nonautonomous,
     integrate_reference,
     rescale,
     rhs,
@@ -156,6 +158,13 @@ class TestIntegrateReference:
         sys = scalar_system(1.0, 2.0)
         with pytest.raises(StepSizeUnderflowError):
             integrate_reference(sys, [5.0], np.linspace(0, 10, 11), 1e-10, 1e-10)
+
+    def test_nonautonomous_overflow_detected(self):
+        # the solver accepts every step while the state overflows to inf
+        with pytest.raises(NonFiniteStateError):
+            integrate_nonautonomous(
+                lambda t, x: np.full_like(x, 1e308), [1.0], np.linspace(0, 2, 5)
+            )
 
     def test_tolerance_ladder_is_monotone(self):
         f2 = np.zeros((2, 4))
