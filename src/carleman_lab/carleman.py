@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -278,12 +278,14 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Per-block truncation errors ||x(t)^(j) - y^[j](t)|| over time."""
+    """Per-block truncation errors ||x(t)^(j) - y^[j](t)|| between ``reference`` and ``lift``."""
 
     times: np.ndarray
     block_norms: np.ndarray  # shape (len(times), k)
     k_used: int
     decay_rate_per_k: float | None = None
+    reference: Trajectory | None = field(default=None, repr=False)
+    lift: Trajectory | None = field(default=None, repr=False)
 
 
 def error_profile(
@@ -313,7 +315,7 @@ def error_profile(
         x = ref.states[i]
         for j in range(1, k + 1):
             norms[i, j - 1] = np.linalg.norm(tensor_power(x, j) - blocks[j - 1])
-    return ErrorProfile(t, norms, k)
+    return ErrorProfile(t, norms, k, reference=ref, lift=lift)
 
 
 def convergence_sweep(

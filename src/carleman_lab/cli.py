@@ -2,8 +2,9 @@
 
 Subcommands: certify, simulate, scan, diagonalize, combinatorics.  All
 file output is UTF-8 with LF endings and 17-significant-digit floats
-(``inf`` literal for infinities), so identical configurations produce
-byte-identical files.
+(``inf`` literal for infinities in CSV, ``null`` for non-finite values in
+JSON certificates), so identical configurations produce byte-identical
+files.
 
 Exit codes: 0 success/certified, 1 input error, 2 numerical failure,
 3 uncertified, 4 resonant denominator.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -143,14 +145,27 @@ def _pick_format(args, default: str, supported: tuple) -> str:
     return fmt
 
 
-def _csv_lines_to_json(lines: list[str]) -> str:
+def _write_table(lines: list[str], args) -> None:
+    """CSV lines as CSV (the default) or, with --format json, as a list of row objects."""
+    if _pick_format(args, "csv", ("csv", "json")) == "csv":
+        _write("\n".join(lines) + "\n", args.out)
+        return
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    _write(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
 # certify
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _stable_cert_dict(cert: stability.StabilityCertificate) -> dict:
@@ -175,13 +190,13 @@ def _stable_cert_dict(cert: stability.StabilityCertificate) -> dict:
 def _conservative_cert_dict(cert: conservative.ConservativeCertificate) -> dict:
     out = {
         "criterion": "R_delta",
-        "value": None if not np.isfinite(cert.value) else cert.value,
+        "value": cert.value,
         "certified": cert.certified,
         "reason": cert.reason,
-        "delta": None if not np.isfinite(cert.delta) else cert.delta,
-        "gamma0": None if not np.isfinite(cert.gamma0) else cert.gamma0,
+        "delta": cert.delta,
+        "gamma0": cert.gamma0,
         "p": cert.p,
-        "x_max_tilde": None if not np.isfinite(cert.x_max_tilde) else cert.x_max_tilde,
+        "x_max_tilde": cert.x_max_tilde,
         "caveats": list(cert.caveats),
     }
     if cert.upsilon is not None:
@@ -190,56 +205,57 @@ def _conservative_cert_dict(cert: conservative.ConservativeCertificate) -> dict:
 
 
 def _nonresonant_cert_dict(cert: nonresonant.NonresonantCertificate) -> dict:
-    names = {
-        "poincare": "R_Delta",
-        "siegel_split": "R_Delta",
-        "oscillating_f2": "R_omega",
-    }
     return {
-        "criterion": names[cert.variant],
+        "criterion": "R_omega" if cert.variant == "oscillating_f2" else "R_Delta",
         "variant": cert.variant,
-        "value": None if not np.isfinite(cert.value) else cert.value,
+        "value": cert.value,
         "certified": cert.certified,
         "reason": cert.reason,
         "delta": cert.delta,
         "omega": cert.omega,
         "x_max_tilde": cert.x_max_tilde,
         "sparsity": cert.sparsity,
+        "caveats": list(cert.caveats),
     }
 
 
 def cmd_certify(args) -> int:
+    """Run the certifier stages in order; stop at the first success unless --all."""
     sysd, x0, _fix = _load_system(args)
-    horizon = args.t if args.t else 10.0
-    chain = []
-    stable = stability.optimize_rp(sysd, x0, budget=args.budget)
-    chain.append(("stable", _stable_cert_dict(stable), stable.certified))
-    cons = conservative.certify_conservative(
-        sysd,
-        x0,
-        horizon=horizon,
-        tol=args.tol,
-        tight_first_block=args.tight_first_block,
-    )
-    chain.append(("conservative", _conservative_cert_dict(cons), cons.certified))
-    poin = nonresonant.certify_poincare(sysd, x0, horizon=horizon, tol=args.tol)
-    chain.append(("nonresonant_poincare", _nonresonant_cert_dict(poin), poin.certified))
-    split = nonresonant.certify_siegel_split(sysd, x0, horizon=horizon, tol=args.tol)
-    chain.append(("siegel_split", _nonresonant_cert_dict(split), split.certified))
+    kw = {"horizon": args.t if args.t else 10.0, "tol": args.tol}
+    stages = [
+        ("stable", lambda: stability.optimize_rp(sysd, x0, budget=args.budget),
+         _stable_cert_dict),
+        ("conservative", lambda: conservative.certify_conservative(sysd, x0, **kw),
+         _conservative_cert_dict),
+        ("nonresonant_poincare", lambda: nonresonant.certify_poincare(sysd, x0, **kw),
+         _nonresonant_cert_dict),
+        ("siegel_split", lambda: nonresonant.certify_siegel_split(sysd, x0, **kw),
+         _nonresonant_cert_dict),
+    ]
     if args.f2_frequency:
-        osc = nonresonant.certify_oscillating(
-            sysd, x0, args.f2_frequency, horizon=horizon, tol=args.tol
-        )
-        chain.append(("oscillating_f2", _nonresonant_cert_dict(osc), osc.certified))
-    winner = next((entry for entry in chain if entry[2]), None)
+        stages.append((
+            "oscillating_f2",
+            lambda: nonresonant.certify_oscillating(sysd, x0, args.f2_frequency, **kw),
+            _nonresonant_cert_dict,
+        ))
+    chain: dict = {}
+    winner = None
+    for name, run, to_dict in stages:
+        cert = run()
+        chain[name] = _json_safe(to_dict(cert))
+        if cert.certified and winner is None:
+            winner = name
+            if not args.all_certificates:
+                break
     result = {
         "certified": winner is not None,
-        "criterion": winner[1]["criterion"] if winner else None,
-        "stage": winner[0] if winner else None,
-        "certificate": winner[1] if winner else None,
+        "criterion": chain[winner]["criterion"] if winner else None,
+        "stage": winner,
+        "certificate": chain[winner] if winner else None,
     }
     if args.all_certificates or winner is None:
-        result["diagnostics"] = {name: cert for name, cert, _ in chain}
+        result["diagnostics"] = chain
     _pick_format(args, "json", ("json",))
     _write(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if winner else EXIT_UNCERTIFIED
@@ -260,21 +276,10 @@ def cmd_simulate(args) -> int:
     for i, t in enumerate(profile.times):
         for j in range(1, profile.k_used + 1):
             lines.append(f"{_fmt(t)},{j},{_fmt(profile.block_norms[i, j - 1])}")
-    fmt = _pick_format(args, "csv", ("csv", "json"))
-    if fmt == "json":
-        _write(_csv_lines_to_json(lines), args.out)
-    else:
-        _write("\n".join(lines) + "\n", args.out)
+    _write_table(lines, args)
     if args.dump_states:
-        from .system import integrate_reference
-
-        ref = integrate_reference(sysd, x0, times, rel_tol=args.tol, abs_tol=args.tol)
-        cm = carleman.build_blocks(sysd, args.k, cap=_cap(args))
-        lift = carleman.integrate_lift(
-            cm, carleman.initial_lift(x0, args.k), times, cap=_cap(args)
-        )
         base = Path(args.out) if args.out else None
-        for tag, traj in (("ref", ref), ("lift", lift)):
+        for tag, traj in (("ref", profile.reference), ("lift", profile.lift)):
             rows = ["t,index,re,im"]
             for i, t in enumerate(traj.times):
                 for idx, z in enumerate(traj.states[i]):
@@ -356,11 +361,7 @@ def cmd_scan(args) -> int:
                     f"{_fmt(row['r_alpha'])},{_fmt(row['r_p_best'])},"
                     f"{_fmt(row['certified'])}"
                 )
-    fmt = _pick_format(args, "csv", ("csv", "json"))
-    if fmt == "json":
-        _write(_csv_lines_to_json(lines), args.out)
-    else:
-        _write("\n".join(lines) + "\n", args.out)
+    _write_table(lines, args)
     return EXIT_OK
 
 
@@ -432,11 +433,7 @@ def cmd_combinatorics(args) -> int:
             bound = forest_count_bound(i, j)
             ok = count == closed and count <= bound
             lines.append(f"forest_count,{i},{j},{count},{closed},{_fmt(ok)}")
-    fmt = _pick_format(args, "csv", ("csv", "json"))
-    if fmt == "json":
-        _write(_csv_lines_to_json(lines), args.out)
-    else:
-        _write("\n".join(lines) + "\n", args.out)
+    _write_table(lines, args)
     return EXIT_OK
 
 
@@ -460,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="all_certificates",
         action="store_true",
         help="report every certifier, not just the first success",
-    )
-    p.add_argument(
-        "--tight-first-block",
-        action="store_true",
-        help="use the sharper first-block constants in gap certificates",
     )
     p.add_argument(
         "--f2-frequency",

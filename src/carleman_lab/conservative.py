@@ -12,15 +12,15 @@ embeddings into larger autonomous driftless systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DriveNotSupportedError,
     NoDissipativeModeError,
     NonDiagonalizableError,
+    NonFiniteStateError,
     PositiveRealPartError,
     SingularQError,
     StepSizeUnderflowError,
@@ -30,8 +30,8 @@ from .errors import (
     ZeroDriveError,
     ZeroNonlinearityError,
 )
-from .linalg import as_cmatrix, as_cvector, eig
-from .system import QuadraticSystem
+from .linalg import as_cmatrix, as_cvector
+from .system import QuadraticSystem, _dormand_prince
 
 DETECTION_TOL_DEFAULT = 1e-9
 XMAX_SAFETY = 1.02
@@ -59,7 +59,7 @@ def detect_invariants(
     """Find left eigenvectors of F1 on the imaginary axis that survive F2/F0 tests."""
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"detection tolerance {tol} outside [1e-12, 1e-4]")
-    dec = eig(sys.f1)
+    dec = sys.spectrum.dec
     if not dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
     f2_scale = max(np.linalg.norm(sys.f2, 2), 0.0)
@@ -129,8 +129,10 @@ def estimate_x_max_tilde(
 ) -> float:
     """Empirical sup of ||Q^{-1} x(t)|| over [0, horizon], padded by 2%.
 
-    This is an estimate from a dense high-accuracy solve, not a proof;
-    certificates built on it carry an "empirical-supremum" caveat.
+    This is an estimate from a high-accuracy solve sampled at 2001 evenly
+    spaced times, not a proof; certificates built on it carry an
+    "empirical-supremum" caveat.  A finite-time escape raises
+    :class:`StepSizeUnderflowError` or :class:`NonFiniteStateError`.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -144,19 +146,8 @@ def estimate_x_max_tilde(
     def f(_t, y):
         return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
 
-    sol = solve_ivp(
-        f,
-        (0.0, float(horizon)),
-        v0.astype(complex),
-        method="RK45",
-        rtol=max(tol, 3e-14),
-        atol=tol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepSizeUnderflowError(sol.message or "integration failed")
     ts = np.linspace(0.0, float(horizon), _XMAX_SAMPLES)
-    states = sol.sol(ts)
+    states = _dormand_prince(f, v0, ts, tol, tol).states.T
     sup = float(np.max(np.linalg.norm(qinv @ states, axis=0)))
     return XMAX_SAFETY * sup
 
@@ -216,8 +207,8 @@ def certify_conservative(
             tight_first_block=tight_first_block,
         )
 
-    dec = eig(sys.f1)
-    if not dec.diagonalizable:
+    spec = sys.spectrum
+    if not spec.dec.diagonalizable:
         return refuse("linear part is numerically defective")
     inv = detect_invariants(sys, tol=detection_tol)
     if inv.violations:
@@ -230,31 +221,24 @@ def certify_conservative(
         delta = real_spectral_gap(sys.f1, tol=detection_tol)
     except (PositiveRealPartError, NoDissipativeModeError) as exc:
         return refuse(str(exc))
-    q = dec.right_vectors
+    q = spec.dec.right_vectors
     try:
-        x_max = estimate_x_max_tilde(sys, x0, q, horizon, tol=tol)
-    except StepSizeUnderflowError:
+        x_max = spec.x_max_tilde(x0, horizon, tol)
+    except (StepSizeUnderflowError, NonFiniteStateError):
         return refuse("trajectory escapes in finite time")
-    f2_t = transformed_f2_norm(sys, q)
-    q_norm = float(np.linalg.norm(q, 2))
+    f2_t = spec.f2_tilde_norm
+    q_norm = spec.q_norm
     gamma0 = math.e * f2_t / (delta * q_norm)
     gamma0_tight = 16.0 * f2_t / (delta * q_norm)
     upsilon = None
     if np.linalg.norm(sys.f0) > 0:
         if f2_t == 0.0:
-            return ConservativeCertificate(
-                value=np.inf,
-                delta=delta,
-                x_max_tilde=x_max,
-                gamma0=gamma0,
-                p=p,
-                certified=False,
-                reason="driven system with vanishing nonlinearity: ancilla "
-                "amplitude undefined",
-                q=q,
-                tight_first_block=tight_first_block,
+            return replace(
+                refuse("driven system with vanishing nonlinearity: ancilla "
+                       "amplitude undefined"),
+                delta=delta, x_max_tilde=x_max, gamma0=gamma0, q=q,
             )
-        f0_t = float(np.linalg.norm(np.linalg.inv(q) @ sys.f0))
+        f0_t = float(np.linalg.norm(spec.dec.inverse_vectors @ sys.f0))
         upsilon = math.sqrt(f0_t / f2_t)
         value = (
             2.0
@@ -342,13 +326,15 @@ def embed_driving(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if upsilon is None:
-        dec = eig(sys.f1)
-        f2_t = transformed_f2_norm(sys, dec.right_vectors)
+        spec = sys.spectrum
+        f2_t = spec.f2_tilde_norm
+        if np.isnan(f2_t):
+            raise SingularQError("eigenbasis of the linear part is singular")
         if f2_t == 0.0:
             raise ZeroNonlinearityError(
                 "optimal ancilla amplitude undefined for F2 = 0"
             )
-        f0_t = float(np.linalg.norm(dec.inverse_vectors @ sys.f0))
+        f0_t = float(np.linalg.norm(spec.dec.inverse_vectors @ sys.f0))
         upsilon = math.sqrt(f0_t / f2_t)
     n = sys.n
     m = n + 1

@@ -79,6 +79,16 @@ def tensor_power(x: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
+def column_sparsity(m, rtol: float = 1e-12) -> int:
+    """Max nonzero count over columns; 1 for the zero matrix by convention."""
+    a = np.asarray(m, dtype=complex)
+    top = np.max(np.abs(a)) if a.size else 0.0
+    if top == 0.0:
+        return 1
+    counts = np.count_nonzero(np.abs(a) > rtol * top, axis=0)
+    return int(max(counts.max(), 1))
+
+
 @dataclass(frozen=True)
 class EigDecomposition:
     """Spectral factorization M = Q diag(eigenvalues) Q^{-1}.

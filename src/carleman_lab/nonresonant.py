@@ -25,6 +25,7 @@ from .errors import (
     DriveNotSupportedError,
     FrequencyTooSmallError,
     NonDiagonalizableError,
+    NonFiniteStateError,
     NotPoincareError,
     ResonanceFoundError,
     ResonantDenominatorError,
@@ -33,8 +34,8 @@ from .errors import (
     WrongSignError,
 )
 from .forests import LEAF, TreeStructure, compositions, enumerate_trees
-from .linalg import as_cvector, eig, kron_chain, origin_hull_status
-from .system import QuadraticSystem
+from .linalg import as_cvector, column_sparsity, kron_chain, origin_hull_status
+from .system import QuadraticSystem, Spectrum
 
 RESONANCE_RTOL = 1e-10
 DENOMINATOR_RTOL = 1e-12
@@ -50,16 +51,34 @@ def _scale(lams: np.ndarray) -> float:
     return float(np.max(np.abs(lams))) if lams.size else 0.0
 
 
-def _multi_indices(n: int, total: int):
-    """Multisets of eigenvalue indices with the given cardinality."""
-    yield from combinations_with_replacement(range(n), total)
-
-
 def _alpha_vector(combo, n: int) -> tuple:
     alpha = [0] * n
     for idx in combo:
         alpha[idx] += 1
     return tuple(alpha)
+
+
+def _combination_gaps(ev: np.ndarray, top: int):
+    """(order, combo, gaps) for every multiset of 2..top eigenvalue indices.
+
+    ``gaps[i]`` is |lambda_i - sum of the combo's eigenvalues|.
+    """
+    for total in range(2, top + 1):
+        for combo in combinations_with_replacement(range(ev.size), total):
+            yield total, combo, np.abs(ev - ev[list(combo)].sum())
+
+
+def _nonresonant_gaps(ev: np.ndarray, top: int):
+    """(order, gaps) per multiset; raises ResonanceFoundError at the first resonance."""
+    tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
+    for total, combo, gaps in _combination_gaps(ev, top):
+        if np.any(gaps <= tol):
+            i = int(np.argmin(gaps))
+            raise ResonanceFoundError(
+                f"resonance at eigenvalue index {i}",
+                tuples=[(i, _alpha_vector(combo, ev.size))],
+            )
+        yield total, gaps
 
 
 @dataclass(frozen=True)
@@ -80,14 +99,12 @@ def check_resonance(lams, order_cap: int) -> SpectrumClassification:
     if not 2 <= order_cap <= ORDER_CAP_LIMIT:
         raise ValueError(f"order cap must lie in [2, {ORDER_CAP_LIMIT}]")
     ev = as_cvector(lams)
-    scale = max(_scale(ev), 1e-300)
-    found = []
-    for total in range(2, order_cap + 1):
-        for combo in _multi_indices(ev.size, total):
-            s = ev[list(combo)].sum()
-            gaps = np.abs(ev - s)
-            for i in np.nonzero(gaps <= RESONANCE_RTOL * scale)[0]:
-                found.append((int(i), _alpha_vector(combo, ev.size)))
+    tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
+    found = [
+        (int(i), _alpha_vector(combo, ev.size))
+        for _, combo, gaps in _combination_gaps(ev, order_cap)
+        for i in np.nonzero(gaps <= tol)[0]
+    ]
     return SpectrumClassification(ev, found, order_cap)
 
 
@@ -122,19 +139,10 @@ def delta_gap_components(lams, order_cap: int = 6) -> dict:
     top = max(k0 - 1, order_cap)
     if top > _DELTA1_HARD_CAP:
         raise CapExceededError(f"gap enumeration needs order {top} > {_DELTA1_HARD_CAP}")
-    scale = max(_scale(ev), 1e-300)
-    delta1 = np.inf
-    for total in range(2, top + 1):
-        for combo in _multi_indices(ev.size, total):
-            s = ev[list(combo)].sum()
-            gaps = np.abs(ev - s)
-            if np.any(gaps <= RESONANCE_RTOL * scale):
-                i = int(np.argmin(gaps))
-                raise ResonanceFoundError(
-                    f"resonance at eigenvalue index {i}",
-                    tuples=[(i, _alpha_vector(combo, ev.size))],
-                )
-            delta1 = min(delta1, float(gaps.min()) / (total - 1))
+    delta1 = min(
+        (float(gaps.min()) / (total - 1) for total, gaps in _nonresonant_gaps(ev, top)),
+        default=np.inf,
+    )
     return {
         "analytic": float(delta0),
         "enumerated": float(delta1),
@@ -211,13 +219,17 @@ def build_v_blocks(lams, f2_tilde, k: int) -> dict:
     """
     ev = as_cvector(lams)
     f2t = np.asarray(f2_tilde, dtype=complex)
-    w = _tree_sums(ev, f2t, k)
+    return _forest_blocks(_tree_sums(ev, f2t, k), k)
+
+
+def _forest_blocks(sums: dict, k: int) -> dict:
+    """Block (i, j) = sum over compositions of j into i parts of the Kronecker chains."""
     blocks: dict = {}
     for i in range(1, k + 1):
         for j in range(i, k + 1):
             acc = None
             for comp in compositions(j, i):
-                term = kron_chain([w[m] for m in comp])
+                term = kron_chain([sums[m] for m in comp])
                 acc = term if acc is None else acc + term
             blocks[(i, j)] = acc
     return blocks
@@ -293,15 +305,10 @@ def build_vinv_blocks(lams, f2_tilde, k: int, method: str = "forest") -> dict:
         # here too so the forest route fails identically on resonant input
         for m in range(2, k + 1):
             build_nl(ev, m)
-        g = _g_sums(ev, f2t, k)
-        blocks: dict = {}
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                acc = None
-                for comp in compositions(j, i):
-                    term = kron_chain([g[m] for m in comp])
-                    acc = term if acc is None else acc + term
-                blocks[(i, j)] = (-1.0) ** (j - i) * acc
+        blocks = _forest_blocks(_g_sums(ev, f2t, k), k)
+        for (i, j), b in blocks.items():
+            if (j - i) % 2:
+                b *= -1.0
         return blocks
     if method == "backsubstitution":
         v = build_v_blocks(ev, f2t, k)
@@ -316,16 +323,6 @@ def build_vinv_blocks(lams, f2_tilde, k: int, method: str = "forest") -> dict:
                 blocks[(i, j)] = acc
         return blocks
     raise ValueError(f"unknown method {method!r}")
-
-
-def column_sparsity(m, rtol: float = 1e-12) -> int:
-    """Max nonzero count over columns; 1 for the zero matrix by convention."""
-    a = np.asarray(m, dtype=complex)
-    top = np.max(np.abs(a)) if a.size else 0.0
-    if top == 0.0:
-        return 1
-    counts = np.count_nonzero(np.abs(a) > rtol * top, axis=0)
-    return int(max(counts.max(), 1))
 
 
 @dataclass(frozen=True)
@@ -376,12 +373,10 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
 
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("diagonalization requires a driftless system")
-    dec = eig(sys.f1)
-    if not dec.diagonalizable:
+    spec = sys.spectrum
+    if not spec.dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
-    lams = dec.eigenvalues
-    q, qinv = dec.right_vectors, dec.inverse_vectors
-    f2t = qinv @ sys.f2 @ np.kron(q, q)
+    lams, q, f2t = spec.dec.eigenvalues, spec.dec.right_vectors, spec.f2_tilde
     transformed = QuadraticSystem(
         f0=np.zeros(sys.n), f1=np.diag(lams), f2=f2t
     )
@@ -443,16 +438,14 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float) -> dict:
 
 def r_big_delta(sys: QuadraticSystem, x_max_tilde: float, delta: float) -> float:
     """Gap-weighted R-number 8 s ||F2~|| ||x_max~|| / Delta for Poincare spectra."""
-    dec = eig(sys.f1)
-    if not dec.diagonalizable:
+    spec = sys.spectrum
+    if not spec.dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
-    if classify_domain(dec.eigenvalues) != POINCARE:
+    if classify_domain(spec.dec.eigenvalues) != POINCARE:
         raise NotPoincareError("spectrum does not lie in the Poincare domain")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    f2t = dec.inverse_vectors @ sys.f2 @ np.kron(dec.right_vectors, dec.right_vectors)
-    s = column_sparsity(f2t)
-    return float(8.0 * s * np.linalg.norm(f2t, 2) * x_max_tilde / delta)
+    return float(8.0 * spec.sparsity * spec.f2_tilde_norm * x_max_tilde / delta)
 
 
 VARIANTS = ("poincare", "siegel_split", "oscillating_f2")
@@ -548,23 +541,10 @@ def siegel_type_estimate(lams, order_cap: int = 8) -> dict:
     if not 2 <= order_cap <= ORDER_CAP_LIMIT:
         raise ValueError(f"order cap must lie in [2, {ORDER_CAP_LIMIT}]")
     ev = as_cvector(lams)
-    scale = max(_scale(ev), 1e-300)
-    orders = []
-    min_gaps = []
-    for total in range(2, order_cap + 1):
-        best = np.inf
-        for combo in _multi_indices(ev.size, total):
-            s = ev[list(combo)].sum()
-            gaps = np.abs(ev - s)
-            if np.any(gaps <= RESONANCE_RTOL * scale):
-                i = int(np.argmin(gaps))
-                raise ResonanceFoundError(
-                    f"resonance at eigenvalue index {i}",
-                    tuples=[(i, _alpha_vector(combo, ev.size))],
-                )
-            best = min(best, float(gaps.min()))
-        orders.append(total)
-        min_gaps.append(best)
+    best = dict.fromkeys(range(2, order_cap + 1), np.inf)
+    for total, gaps in _nonresonant_gaps(ev, order_cap):
+        best[total] = min(best[total], float(gaps.min()))
+    orders, min_gaps = list(best), list(best.values())
     x = np.log(np.array(orders, dtype=float) - 1.0)
     y = np.log(np.array(min_gaps))
     # single order (cap = 2) pins nu at zero
@@ -667,6 +647,7 @@ class NonresonantCertificate:
     q_norm: float | None = None
     f2_tilde_norm: float | None = None
     sparsity: int | None = None
+    caveats: tuple = ()
 
     def error_bound(self, i: int, k: int, t: float) -> float:
         return nonresonant_error_bound(
@@ -687,15 +668,45 @@ def _uncertified(variant: str, reason: str) -> NonresonantCertificate:
     )
 
 
-def _eigdata(sys: QuadraticSystem):
-    dec = eig(sys.f1)
-    if not dec.diagonalizable:
+def _checked_spectrum(sys: QuadraticSystem) -> Spectrum:
+    """The system's spectrum, refused when defective or with Re(lambda) > 0."""
+    spec = sys.spectrum
+    if not spec.dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
-    lams = dec.eigenvalues
+    lams = spec.dec.eigenvalues
     if np.any(lams.real > 1e-10 * max(_scale(lams), 1.0)):
         raise WrongSignError("some eigenvalue has positive real part")
-    f2t = dec.inverse_vectors @ sys.f2 @ np.kron(dec.right_vectors, dec.right_vectors)
-    return dec, f2t
+    return spec
+
+
+def _certificate(
+    variant: str,
+    spec: Spectrum,
+    x0,
+    horizon: float,
+    tol: float,
+    constant: float,
+    rate: float,
+    **gap,
+) -> NonresonantCertificate:
+    """Shared tail: R = constant * s ||F2~|| x_max~ / rate, on the empirical supremum."""
+    try:
+        x_max = spec.x_max_tilde(x0, horizon, tol)
+    except (StepSizeUnderflowError, NonFiniteStateError):
+        return _uncertified(variant, "trajectory escapes in finite time")
+    value = constant * spec.sparsity * spec.f2_tilde_norm * x_max / rate
+    return NonresonantCertificate(
+        variant=variant,
+        value=float(value),
+        certified=bool(value < 1.0),
+        reason="" if value < 1.0 else "R-number >= 1",
+        x_max_tilde=x_max,
+        q_norm=spec.q_norm,
+        f2_tilde_norm=spec.f2_tilde_norm,
+        sparsity=spec.sparsity,
+        caveats=("empirical-supremum",),
+        **gap,
+    )
 
 
 def certify_poincare(
@@ -706,14 +717,12 @@ def certify_poincare(
     tol: float = 1e-12,
 ) -> NonresonantCertificate:
     """Gap-based certificate for driftless systems with Poincare spectra."""
-    from .conservative import estimate_x_max_tilde
-
     variant = "poincare"
     if np.linalg.norm(sys.f0) > 0:
         return _uncertified(variant, "requires a driftless system")
     try:
-        dec, f2t = _eigdata(sys)
-        delta = delta_gap_poincare(dec.eigenvalues, order_cap=order_cap)
+        spec = _checked_spectrum(sys)
+        delta = delta_gap_poincare(spec.dec.eigenvalues, order_cap=order_cap)
     except (
         NonDiagonalizableError,
         NotPoincareError,
@@ -721,24 +730,7 @@ def certify_poincare(
         WrongSignError,
     ) as exc:
         return _uncertified(variant, str(exc))
-    try:
-        x_max = estimate_x_max_tilde(sys, x0, dec.right_vectors, horizon, tol=tol)
-    except StepSizeUnderflowError:
-        return _uncertified(variant, "trajectory escapes in finite time")
-    s = column_sparsity(f2t)
-    f2n = float(np.linalg.norm(f2t, 2))
-    value = 8.0 * s * f2n * x_max / delta
-    return NonresonantCertificate(
-        variant=variant,
-        value=float(value),
-        certified=bool(value < 1.0),
-        reason="" if value < 1.0 else "R-number >= 1",
-        delta=delta,
-        x_max_tilde=x_max,
-        q_norm=float(np.linalg.norm(dec.right_vectors, 2)),
-        f2_tilde_norm=f2n,
-        sparsity=s,
-    )
+    return _certificate(variant, spec, x0, horizon, tol, 8.0, delta, delta=delta)
 
 
 def find_siegel_split(lams, f2_tilde, tol: float = 1e-10):
@@ -804,16 +796,14 @@ def certify_siegel_split(
     tol: float = 1e-12,
 ) -> NonresonantCertificate:
     """Certificate for Siegel spectra that decouple into two Poincare halves."""
-    from .conservative import estimate_x_max_tilde
-
     variant = "siegel_split"
     if np.linalg.norm(sys.f0) > 0:
         return _uncertified(variant, "requires a driftless system")
     try:
-        dec, f2t = _eigdata(sys)
+        spec = _checked_spectrum(sys)
     except (NonDiagonalizableError, WrongSignError) as exc:
         return _uncertified(variant, str(exc))
-    split = find_siegel_split(dec.eigenvalues, f2t)
+    split = find_siegel_split(spec.dec.eigenvalues, spec.f2_tilde)
     if split is None:
         return _uncertified(variant, "no decoupling eigenbasis partition found")
     s_plus, s_minus = split
@@ -822,29 +812,12 @@ def certify_siegel_split(
         for part in (s_plus, s_minus):
             if part:
                 deltas.append(
-                    delta_gap_poincare(dec.eigenvalues[list(part)], order_cap=order_cap)
+                    delta_gap_poincare(spec.dec.eigenvalues[list(part)], order_cap=order_cap)
                 )
     except (NotPoincareError, ResonanceFoundError) as exc:
         return _uncertified(variant, str(exc))
     delta = float(min(deltas))
-    try:
-        x_max = estimate_x_max_tilde(sys, x0, dec.right_vectors, horizon, tol=tol)
-    except StepSizeUnderflowError:
-        return _uncertified(variant, "trajectory escapes in finite time")
-    s = column_sparsity(f2t)
-    f2n = float(np.linalg.norm(f2t, 2))
-    value = 8.0 * s * f2n * x_max / delta
-    return NonresonantCertificate(
-        variant=variant,
-        value=float(value),
-        certified=bool(value < 1.0),
-        reason="" if value < 1.0 else "R-number >= 1",
-        delta=delta,
-        x_max_tilde=x_max,
-        q_norm=float(np.linalg.norm(dec.right_vectors, 2)),
-        f2_tilde_norm=f2n,
-        sparsity=s,
-    )
+    return _certificate(variant, spec, x0, horizon, tol, 8.0, delta, delta=delta)
 
 
 def certify_oscillating(
@@ -855,17 +828,11 @@ def certify_oscillating(
     tol: float = 1e-12,
 ) -> NonresonantCertificate:
     """Certificate for an exp(i w t)-modulated quadratic term via the shift."""
-    from .conservative import estimate_x_max_tilde
-
     variant = "oscillating_f2"
     try:
-        shifted = shift_oscillating_f2(sys, omega)
-        dec = eig(shifted.shifted.f1)
-        if not dec.diagonalizable:
+        spec = shift_oscillating_f2(sys, omega).shifted.spectrum
+        if not spec.dec.diagonalizable:
             raise NonDiagonalizableError("linear part is numerically defective")
-        f2t = dec.inverse_vectors @ sys.f2 @ np.kron(
-            dec.right_vectors, dec.right_vectors
-        )
     except (
         NonDiagonalizableError,
         WrongSignError,
@@ -873,23 +840,6 @@ def certify_oscillating(
         DriveNotSupportedError,
     ) as exc:
         return _uncertified(variant, str(exc))
-    try:
-        x_max = estimate_x_max_tilde(
-            shifted.shifted, x0, dec.right_vectors, horizon, tol=tol
-        )
-    except StepSizeUnderflowError:
-        return _uncertified(variant, "trajectory escapes in finite time")
-    s = column_sparsity(f2t)
-    f2n = float(np.linalg.norm(f2t, 2))
-    value = 32.0 * s * f2n * x_max / omega
-    return NonresonantCertificate(
-        variant=variant,
-        value=float(value),
-        certified=bool(value < 1.0),
-        reason="" if value < 1.0 else "R-number >= 1",
-        omega=float(omega),
-        x_max_tilde=x_max,
-        q_norm=float(np.linalg.norm(dec.right_vectors, 2)),
-        f2_tilde_norm=f2n,
-        sparsity=s,
+    return _certificate(
+        variant, spec, x0, horizon, tol, 32.0, omega, omega=float(omega)
     )

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import (
     as_cvector,
-    eig,
     generalized_log_norm,
     log_norm,
     p_norms,
@@ -59,20 +58,15 @@ def r_mu(sys: QuadraticSystem, x0) -> float:
 def r_alpha(sys: QuadraticSystem, x0) -> float:
     """R-number of the spectral abscissa, with norms taken in the eigenbasis."""
     v = _check_x0(x0)
-    dec = eig(sys.f1)
-    if not dec.diagonalizable:
+    spec = sys.spectrum
+    if not spec.dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
-    alpha = float(dec.eigenvalues[0].real)
+    alpha = float(spec.dec.eigenvalues[0].real)
     if alpha >= 0:
         return np.inf
-    q, qinv = dec.right_vectors, dec.inverse_vectors
-    x_t = qinv @ v
-    f0_t = qinv @ sys.f0
-    f2_t = qinv @ sys.f2 @ np.kron(q, q)
-    nx = np.linalg.norm(x_t)
-    return float(
-        (np.linalg.norm(f2_t, 2) * nx + np.linalg.norm(f0_t) / nx) / (-alpha)
-    )
+    nx = np.linalg.norm(spec.dec.inverse_vectors @ v)
+    f0_t = spec.dec.inverse_vectors @ sys.f0
+    return float((spec.f2_tilde_norm * nx + np.linalg.norm(f0_t) / nx) / (-alpha))
 
 
 def r_p(sys: QuadraticSystem, x0, p) -> float:
@@ -314,7 +308,7 @@ def optimize_rp(
     n = sys.n
 
     seeds: list[np.ndarray] = [np.eye(n, dtype=complex)]
-    dec = eig(sys.f1)
+    dec = sys.spectrum.dec
     if dec.diagonalizable:
         w = dec.inverse_vectors
         seeds.append(w.conj().T @ w)

@@ -2,15 +2,18 @@
 
 The state is complex throughout; F2 maps the tensor square of the state
 back to the state space, stored dense with column index j*N + l for the
-(j, l) slot pair.  The module also hosts the high-accuracy adaptive
-reference integrator that all truncation-error measurements are judged
-against.
+(j, l) slot pair.  The coefficient arrays are read-only, so each system
+can carry its :class:`Spectrum`, the eigenbasis data every certifier
+reads, computed once on first use.  The module also hosts the
+high-accuracy adaptive reference integrator that all truncation-error
+measurements are judged against.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -21,7 +24,7 @@ from .errors import (
     NonPositiveGammaError,
     StepSizeUnderflowError,
 )
-from .linalg import as_cmatrix, as_cvector
+from .linalg import EigDecomposition, as_cmatrix, as_cvector, column_sparsity, eig
 
 _RNG_PROBES = 8
 
@@ -36,9 +39,13 @@ class QuadraticSystem:
     symmetrized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "f0", as_cvector(self.f0))
-        object.__setattr__(self, "f1", as_cmatrix(self.f1))
-        object.__setattr__(self, "f2", as_cmatrix(self.f2))
+        for name, coerce in (("f0", as_cvector), ("f1", as_cmatrix), ("f2", as_cmatrix)):
+            raw = getattr(self, name)
+            a = coerce(raw)
+            if np.may_share_memory(a, raw):
+                a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         n = self.f1.shape[0]
         if self.f1.shape != (n, n):
             raise DimensionMismatchError(f"f1 must be square, got {self.f1.shape}")
@@ -52,6 +59,57 @@ class QuadraticSystem:
     @property
     def n(self) -> int:
         return self.f1.shape[0]
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Eigenbasis data of F1, computed on first use and shared by every caller."""
+        return Spectrum.of(self)
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenbasis quantities of one system, derived once.
+
+    ``dec`` factors F1 = Q diag(lambda) Q^{-1}; ``f2_tilde`` is
+    Q^{-1} F2 (Q (x) Q), the nonlinearity in that eigenbasis, with its
+    2-norm (NaN when Q^{-1} is not finite), column sparsity and ||Q||_2.
+    :meth:`x_max_tilde` memoizes the empirical trajectory supremum in the
+    eigenbasis per (x0, horizon, tol).
+    """
+
+    system: QuadraticSystem = field(repr=False)
+    dec: EigDecomposition
+    f2_tilde: np.ndarray
+    f2_tilde_norm: float
+    sparsity: int
+    q_norm: float
+    _x_max: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, sys: QuadraticSystem) -> Spectrum:
+        dec = eig(sys.f1)
+        for a in (dec.eigenvalues, dec.right_vectors, dec.inverse_vectors):
+            a.flags.writeable = False
+        q = dec.right_vectors
+        f2t = dec.inverse_vectors @ sys.f2 @ np.kron(q, q)
+        f2t.flags.writeable = False
+        f2n = float(np.linalg.norm(f2t, 2)) if np.all(np.isfinite(f2t)) else np.nan
+        return cls(sys, dec, f2t, f2n, column_sparsity(f2t), float(np.linalg.norm(q, 2)))
+
+    def x_max_tilde(self, x0, horizon: float, tol: float) -> float:
+        """:func:`conservative.estimate_x_max_tilde` in this eigenbasis, solved once per key.
+
+        Failures (finite-time escape) are not cached; they propagate.
+        """
+        from . import conservative
+
+        v0 = as_cvector(x0)
+        key = (v0.tobytes(), float(horizon), float(tol))
+        if key not in self._x_max:
+            self._x_max[key] = conservative.estimate_x_max_tilde(
+                self.system, v0, self.dec.right_vectors, horizon, tol=tol
+            )
+        return self._x_max[key]
 
 
 @dataclass(frozen=True)
@@ -135,9 +193,6 @@ def integrate_reference(
     v0 = as_cvector(x0)
     if v0.size != sys.n:
         raise DimensionMismatchError(f"x0 dim {v0.size}, system dim {sys.n}")
-    t = np.asarray(times, dtype=float)
-    if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ValueError("times must be strictly increasing and start at 0")
     for tol in (rel_tol, abs_tol):
         if not 1e-14 <= tol <= 1e-3:
             raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
@@ -145,7 +200,7 @@ def integrate_reference(
     def f(_t, y):
         return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
 
-    return _dormand_prince(f, v0, t, rel_tol, abs_tol)
+    return _dormand_prince(f, v0, times, rel_tol, abs_tol)
 
 
 def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
@@ -154,20 +209,19 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
     Used to cross-check the autonomous embeddings of driven and
     oscillating systems against a direct non-autonomous solve.
     """
-    v0 = as_cvector(x0)
+    return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
+
+
+def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
+    """RK45 solve of xdot = f(t, x) sampled at the given times, with one failure policy.
+
+    The times must start at 0 and increase strictly.  A collapsed step
+    raises :class:`StepSizeUnderflowError`, any other solver failure or a
+    non-finite sampled state raises :class:`NonFiniteStateError`.
+    """
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
-    return _dormand_prince(f, v0, t, rel_tol, abs_tol)
-
-
-def _dormand_prince(f, v0: np.ndarray, t: np.ndarray, rel_tol, abs_tol) -> Trajectory:
-    """RK45 solve of xdot = f(t, x) sampled at t, with one failure policy.
-
-    A collapsed step raises :class:`StepSizeUnderflowError`, any other
-    solver failure or a non-finite sampled state raises
-    :class:`NonFiniteStateError`.
-    """
     if t.size == 1:
         return Trajectory(t, v0[None, :].copy(), rel_tol)
     with warnings.catch_warnings():

@@ -424,3 +424,131 @@ class TestDeterminism:
         out_b = tmp_path / "b.out"
         assert run(case + ["--out", str(out_a)]) == run(case + ["--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap every binding of ``fn`` inside the package; returns the call log."""
+    import sys as interpreter
+
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(interpreter.modules.items()):
+        if module is not None and name.split(".")[0] == "carleman_lab":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+class TestCertifyChain:
+    ESCAPE = ["certify", "--fixture", "scalar", "--param", "a=-1", "--param", "b=2",
+              "--param", "x0=3.0"]
+    NETWORK = ["certify", "--fixture", "oscillator_network", "--param", "n=3",
+               "--param", "w=0.05", "--f2-frequency", "6.928203230275509"]
+
+    def stage_calls(self, monkeypatch):
+        from carleman_lab import conservative, nonresonant, stability
+
+        return [
+            count_calls(monkeypatch, fn)
+            for fn in (
+                stability.optimize_rp,
+                conservative.certify_conservative,
+                nonresonant.certify_poincare,
+                nonresonant.certify_siegel_split,
+            )
+        ]
+
+    def test_stops_at_first_success(self, monkeypatch, tmp_path):
+        stages = self.stage_calls(monkeypatch)
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--fixture", "scalar", "--out", str(out)]) == 0
+        assert [len(c) for c in stages] == [1, 0, 0, 0]
+        data = json.loads(out.read_text())
+        assert data["stage"] == "stable" and "diagnostics" not in data
+
+    def test_all_runs_every_stage(self, monkeypatch, tmp_path):
+        stages = self.stage_calls(monkeypatch)
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--fixture", "scalar", "--all", "--out", str(out)]) == 0
+        assert [len(c) for c in stages] == [1, 1, 1, 1]
+        data = json.loads(out.read_text())
+        assert data["stage"] == "stable"
+        assert set(data["diagnostics"]) == {
+            "stable", "conservative", "nonresonant_poincare", "siegel_split"
+        }
+
+    def test_one_eigendecomposition_per_system(self, monkeypatch, tmp_path):
+        from carleman_lab import linalg
+
+        calls = count_calls(monkeypatch, linalg.eig)
+        argv = ["certify", "--fixture", "damped_oscillator", "--all"]
+        run([*argv, "--out", str(tmp_path / "a.json")])
+        assert len(calls) == 1
+        out = tmp_path / "b.json"
+        assert run([*self.NETWORK, "--all", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stage"] == "oscillating_f2"
+        # the oscillating certifier runs on the shifted system: one more
+        assert len(calls) == 3
+
+    def test_one_supremum_solve_per_key(self, monkeypatch, tmp_path):
+        from carleman_lab import conservative
+
+        calls = count_calls(monkeypatch, conservative.estimate_x_max_tilde)
+        out = tmp_path / "cert.json"
+        run(["certify", "--fixture", "damped_oscillator", "--all", "--out", str(out)])
+        diag = json.loads(out.read_text())["diagnostics"]
+        # conservative, Poincare and Siegel-split all read the same supremum
+        sups = {diag[k]["x_max_tilde"] for k in ("conservative", "nonresonant_poincare",
+                                                 "siegel_split")}
+        assert len(sups) == 1 and None not in sups
+        assert len(calls) == 1
+
+    def test_output_is_json_with_caveats(self, tmp_path):
+        out = tmp_path / "cert.json"
+        run(["certify", "--fixture", "oscillating_toy", "--all", "--out", str(out)])
+        data = json.loads(out.read_text(), parse_constant=reject_constant)
+        diag = data["diagnostics"]
+        assert diag["stable"]["value"] is None
+        for name in ("conservative", "nonresonant_poincare", "siegel_split"):
+            assert diag[name]["caveats"] == ["empirical-supremum"]
+
+    def test_escape_is_uncertified_without_caveats(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run([*self.ESCAPE, "--all", "--out", str(out)]) == 3
+        data = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert not data["certified"]
+        for name in ("conservative", "nonresonant_poincare", "siegel_split"):
+            cert = data["diagnostics"][name]
+            assert cert["reason"] == "trajectory escapes in finite time"
+            assert cert["caveats"] == []
+
+    def test_tight_first_block_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            run(["certify", "--fixture", "scalar", "--tight-first-block"])
+
+
+class TestDumpStatesReuse:
+    def test_reference_and_lift_computed_once(self, monkeypatch, tmp_path):
+        from carleman_lab import carleman, system
+
+        builds = count_calls(monkeypatch, carleman.build_blocks)
+        solves = count_calls(monkeypatch, system.integrate_reference)
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--fixture", "scalar", "--param", "b=0.1", "--k", "3",
+                "--dump-states", "--out", str(out)]
+        assert run(argv) == 0
+        assert len(builds) == 1 and len(solves) == 1
+        ref = out.with_suffix(".ref.csv").read_text().splitlines()
+        lift = out.with_suffix(".lift.csv").read_text().splitlines()
+        # 9 times; the reference has n = 1 coordinate, the order-3 lift 3
+        assert len(ref) == 1 + 9 and len(lift) == 1 + 9 * 3
+        assert ref[1] == lift[1]

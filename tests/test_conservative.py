@@ -177,6 +177,25 @@ class TestConservativeErrorBound:
         with pytest.raises(UncertifiedError):
             conservative_error_bound(cert, 1, 5)
 
+    def test_tight_first_block_constants(self):
+        fx = conservative_toy(a=0.01, b=0.01, x1=0.5, x2=0.0)
+        cert = certify_conservative(fx.system, fx.x0, horizon=20.0, tight_first_block=True)
+        _fx, plain = self._cert()
+        assert cert.certified and cert.tight_first_block
+        # driftless: R_tight = 4 x_max ||F2~|| / delta = (2/e) R
+        assert cert.value_tight == pytest.approx(2.0 / math.e * cert.value, rel=1e-14)
+        assert cert.gamma0_tight == pytest.approx(16.0 / math.e * cert.gamma0, rel=1e-14)
+        k = 5
+        assert conservative_error_bound(cert, 1, k) == cert.p * cert.value_tight ** (k + 1)
+        # the sharper constants apply to the first block only
+        for j in range(2, k + 1):
+            assert conservative_error_bound(cert, j, k) == conservative_error_bound(
+                plain, j, k
+            )
+        assert conservative_error_bound(plain, 1, k) == pytest.approx(
+            1 / (2 * (k + 1)) * plain.p * plain.value ** (k + 1)
+        )
+
     def test_conserved_quantity_constant_along_flow(self):
         fx = conservative_toy(a=0.05, b=0.05, x1=0.5, x2=0.1)
         inv = detect_invariants(fx.system)

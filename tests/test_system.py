@@ -207,3 +207,70 @@ class TestNormMonotonicity:
         start = linalg.p_vector_norm(x0, p)
         for state in traj.states:
             assert linalg.p_vector_norm(state, p) <= start * (1 + 1e-7)
+
+
+class TestSpectrum:
+    def test_coefficients_are_read_only(self):
+        sys = random_system(3)
+        for a in (sys.f0, sys.f1, sys.f2):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_caller_arrays_are_not_aliased(self):
+        f1 = np.array([[-1.0, 0.5], [0.0, -2.0]], dtype=complex)
+        f2 = np.zeros((2, 4), dtype=complex)
+        f0 = np.zeros(2, dtype=complex)
+        sys = QuadraticSystem(f0=f0, f1=f1, f2=f2)
+        spec = sys.spectrum
+        f1[0, 0] = 5.0
+        f0[0] = 1.0
+        assert sys.f1[0, 0] == -1.0 and sys.f0[0] == 0.0
+        assert spec.dec.reconstruct() == pytest.approx(sys.f1, abs=1e-14)
+
+    def test_computed_once(self, monkeypatch):
+        from carleman_lab import system
+
+        calls = []
+
+        def counting_eig(m):
+            calls.append(m)
+            return linalg.eig(m)
+
+        monkeypatch.setattr(system, "eig", counting_eig)
+        sys = random_system(4)
+        assert sys.spectrum is sys.spectrum
+        assert len(calls) == 1
+
+    def test_f2_tilde_matches_explicit_rotation(self):
+        sys = random_system(5, n=3)
+        dec = linalg.eig(sys.f1)
+        q = dec.right_vectors
+        explicit = dec.inverse_vectors @ sys.f2 @ np.kron(q, q)
+        spec = sys.spectrum
+        assert np.array_equal(spec.f2_tilde, explicit)
+        assert spec.f2_tilde_norm == float(np.linalg.norm(explicit, 2))
+        assert spec.q_norm == float(np.linalg.norm(q, 2))
+        assert spec.sparsity == linalg.column_sparsity(explicit)
+        assert not spec.f2_tilde.flags.writeable
+
+    def test_x_max_tilde_solved_once_per_key(self, monkeypatch):
+        from carleman_lab import conservative
+
+        calls = []
+        real = conservative.estimate_x_max_tilde
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conservative, "estimate_x_max_tilde", counting)
+        sys = random_system(6)
+        spec = sys.spectrum
+        first = spec.x_max_tilde([0.3, 0.1], 2.0, 1e-10)
+        assert spec.x_max_tilde(np.array([0.3, 0.1]), 2.0, 1e-10) == first
+        assert len(calls) == 1
+        spec.x_max_tilde([0.3, 0.1], 3.0, 1e-10)
+        spec.x_max_tilde([0.3, 0.2], 2.0, 1e-10)
+        spec.x_max_tilde([0.3, 0.1], 2.0, 1e-9)
+        assert len(calls) == 4
+        assert first == real(sys, [0.3, 0.1], spec.dec.right_vectors, 2.0, tol=1e-10)
