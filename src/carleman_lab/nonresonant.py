@@ -3,12 +3,12 @@
 For a driftless system with diagonalizable linear part, the lift
 generator is block upper bidiagonal and, absent resonances among the
 eigenvalues, similar to the diagonal matrix of all tensor-power
-eigenvalue sums.  The similarity transform and its inverse decompose
-into blocks indexed by binary forests; this module builds those blocks
-two independent ways (forest weights and block back-substitution),
-verifies the analytic norm bounds, and evaluates the resulting
-truncation-error bounds for Poincare-domain, split-Siegel, and
-oscillating-nonlinearity certificates.
+eigenvalue sums.  The similarity transform, the Carleman matrix of the
+normal-form map, and its inverse, that of the map's compositional
+inverse, decompose into blocks indexed by binary forests; this module
+builds those blocks, verifies the analytic norm bounds, and evaluates
+the resulting truncation-error bounds for Poincare-domain,
+split-Siegel, and oscillating-nonlinearity certificates.
 """
 
 from __future__ import annotations
@@ -290,39 +290,38 @@ def _g_sums(lams, f2_tilde, max_leaves: int) -> dict[int, np.ndarray]:
     return g
 
 
-def build_vinv_blocks(lams, f2_tilde, k: int, method: str = "forest") -> dict:
-    """Blocks of the inverse transform, by forest weights or back-substitution.
+def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
+    """All upper blocks of the inverse transform in eigencoordinates.
 
-    The two methods are fully independent computations and agree to
-    rounding; back-substitution solves the block-triangular system from
-    the forward blocks, the forest route sums signed per-tree weights
-    over topological orders.
+    V^{-1} is the Carleman matrix of the compositional inverse of the
+    normal-form map: its first block row G_1 = I, G_j = -sum_{m<j} G_m V_(m,j)
+    solves (V^{-1} V)_(1,j) = 0, and block (i, j) is built from the G_m
+    like V from the forest weights.
+    """
+    v = build_v_blocks(lams, f2_tilde, k)
+    g = {1: v[(1, 1)]}
+    for j in range(2, k + 1):
+        g[j] = -sum(g[m] @ v[(m, j)] for m in range(1, j))
+    return _forest_blocks(g, k)
+
+
+def _vinv_blocks_by_forest(lams, f2_tilde, k: int) -> dict:
+    """Test oracle for :func:`build_vinv_blocks`, independent of V.
+
+    Sums signed per-tree weights over node labelings and topological
+    orders; exponential in k.
     """
     ev = as_cvector(lams)
     f2t = np.asarray(f2_tilde, dtype=complex)
-    if method == "forest":
-        # resonance screening happens in the forward construction; run it
-        # here too so the forest route fails identically on resonant input
-        for m in range(2, k + 1):
-            build_nl(ev, m)
-        blocks = _forest_blocks(_g_sums(ev, f2t, k), k)
-        for (i, j), b in blocks.items():
-            if (j - i) % 2:
-                b *= -1.0
-        return blocks
-    if method == "backsubstitution":
-        v = build_v_blocks(ev, f2t, k)
-        n = ev.size
-        blocks = {}
-        for i in range(k, 0, -1):
-            blocks[(i, i)] = np.eye(n**i, dtype=complex)
-            for j in range(i + 1, k + 1):
-                acc = np.zeros((n**i, n**j), dtype=complex)
-                for m in range(i + 1, j + 1):
-                    acc -= v[(i, m)] @ blocks[(m, j)]
-                blocks[(i, j)] = acc
-        return blocks
-    raise ValueError(f"unknown method {method!r}")
+    # resonance screening happens in the forward construction; run it
+    # here too so the forest route fails identically on resonant input
+    for m in range(2, k + 1):
+        build_nl(ev, m)
+    blocks = _forest_blocks(_g_sums(ev, f2t, k), k)
+    for (i, j), b in blocks.items():
+        if (j - i) % 2:
+            b *= -1.0
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -382,7 +381,7 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     )
     a_tilde = assemble_dense(build_blocks(transformed, k))
     v_blocks = build_v_blocks(lams, f2t, k)
-    vinv_blocks = build_vinv_blocks(lams, f2t, k, method="forest")
+    vinv_blocks = build_vinv_blocks(lams, f2t, k)
     dense_v = _dense_from_blocks(v_blocks, sys.n, k)
     dense_vinv = _dense_from_blocks(vinv_blocks, sys.n, k)
     d = np.concatenate([level_sums(lams, j) for j in range(1, k + 1)])

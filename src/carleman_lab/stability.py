@@ -23,6 +23,7 @@ from .errors import (
     ZeroInitialStateError,
 )
 from .linalg import (
+    _pd_sqrt_factors,
     as_cvector,
     generalized_log_norm,
     log_norm,
@@ -70,13 +71,18 @@ def r_alpha(sys: QuadraticSystem, x0) -> float:
 
 
 def r_p(sys: QuadraticSystem, x0, p) -> float:
-    """Lyapunov R-number for the witness P; +inf when mu_P(F1) >= 0."""
+    """Lyapunov R-number for the witness P; +inf when mu_P(F1) >= 0.
+
+    R_P is R_mu in the coordinates y = P^{1/2} x, so P is factored once.
+    """
     v = _check_x0(x0)
-    mu_p = generalized_log_norm(sys.f1, p)
-    if mu_p >= 0:
-        return np.inf
-    norms = p_norms(v, sys.f2, sys.f0, p)
-    return float((norms["f2"] * norms["x"] + norms["f0"] / norms["x"]) / (-mu_p))
+    root, inv_root = _pd_sqrt_factors(p)
+    weighted = QuadraticSystem(
+        f0=root @ sys.f0,
+        f1=root @ sys.f1 @ inv_root,
+        f2=root @ sys.f2 @ np.kron(inv_root, inv_root),
+    )
+    return r_mu(weighted, root @ v)
 
 
 def rp_condition_number_bound(

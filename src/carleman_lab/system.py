@@ -74,7 +74,7 @@ class Spectrum:
     Q^{-1} F2 (Q (x) Q), the nonlinearity in that eigenbasis, with its
     2-norm (NaN when Q^{-1} is not finite), column sparsity and ||Q||_2.
     :meth:`x_max_tilde` memoizes the empirical trajectory supremum in the
-    eigenbasis per (x0, horizon, tol).
+    eigenbasis, or its finite-time escape, per (x0, horizon, tol).
     """
 
     system: QuadraticSystem = field(repr=False)
@@ -99,16 +99,22 @@ class Spectrum:
     def x_max_tilde(self, x0, horizon: float, tol: float) -> float:
         """:func:`conservative.estimate_x_max_tilde` in this eigenbasis, solved once per key.
 
-        Failures (finite-time escape) are not cached; they propagate.
+        A finite-time escape is remembered too: later calls with the same
+        key re-raise it without integrating again.
         """
         from . import conservative
 
         v0 = as_cvector(x0)
         key = (v0.tobytes(), float(horizon), float(tol))
         if key not in self._x_max:
-            self._x_max[key] = conservative.estimate_x_max_tilde(
-                self.system, v0, self.dec.right_vectors, horizon, tol=tol
-            )
+            try:
+                self._x_max[key] = conservative.estimate_x_max_tilde(
+                    self.system, v0, self.dec.right_vectors, horizon, tol=tol
+                )
+            except (StepSizeUnderflowError, NonFiniteStateError) as exc:
+                self._x_max[key] = exc
+        if isinstance(self._x_max[key], Exception):
+            raise self._x_max[key]
         return self._x_max[key]
 
 

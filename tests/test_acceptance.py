@@ -46,6 +46,7 @@ from carleman_lab.forests import (
 )
 from carleman_lab.nonresonant import (
     build_v_blocks,
+    _vinv_blocks_by_forest,
     build_vinv_blocks,
     certify_poincare,
     delta_gap_poincare,
@@ -134,10 +135,11 @@ def test_criterion_04_diagonalization_correctness():
         diag = diagonalize_carleman(sys, k)
         assert diag.residual <= 1e-9
         assert diag.inverse_residual <= 1e-9
-        back = build_vinv_blocks(diag.eigenvalues, diag.f2_tilde, k, "backsubstitution")
+        forest = _vinv_blocks_by_forest(diag.eigenvalues, diag.f2_tilde, k)
+        assert sorted(forest) == sorted(diag.vinv_blocks)
         for key, block in diag.vinv_blocks.items():
-            scale = max(np.abs(back[key]).max(), 1.0)
-            assert np.abs(block - back[key]).max() <= 1e-9 * scale
+            scale = max(np.abs(forest[key]).max(), 1.0)
+            assert np.abs(block - forest[key]).max() <= 1e-9 * scale
     assert time.time() - start < 120.0
     report(4, "diagonalization correctness")
 
@@ -149,7 +151,7 @@ def test_criterion_05_scalar_exactness():
     v = build_v_blocks(lams, f2t, 10)
     for m in range(1, 10):
         assert abs(v[(m, m + 1)][0, 0] - m * b / a) <= 1e-14
-    w = build_vinv_blocks(lams, f2t, 8, method="forest")
+    w = build_vinv_blocks(lams, f2t, 8)
     v8 = build_v_blocks(lams, f2t, 8)
     for j in range(1, 9):
         for i in range(1, j + 1):

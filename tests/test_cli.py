@@ -531,6 +531,16 @@ class TestCertifyChain:
             assert cert["reason"] == "trajectory escapes in finite time"
             assert cert["caveats"] == []
 
+    def test_escape_solved_once(self, monkeypatch, tmp_path):
+        from carleman_lab import conservative
+
+        calls = count_calls(monkeypatch, conservative.estimate_x_max_tilde)
+        out = tmp_path / "cert.json"
+        # no stage certifies, so conservative, Poincare and Siegel-split all
+        # ask for the same escaping supremum
+        assert run([*self.ESCAPE, "--out", str(out)]) == 3
+        assert len(calls) == 1
+
     def test_tight_first_block_flag_is_gone(self):
         with pytest.raises(SystemExit):
             run(["certify", "--fixture", "scalar", "--tight-first-block"])

@@ -18,6 +18,7 @@ from carleman_lab.nonresonant import (
     shift_to_fixed_point,
     build_v_blocks,
     build_vinv_blocks,
+    _vinv_blocks_by_forest,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
@@ -269,34 +270,41 @@ class TestVInverseBlocks:
     def test_one_layer_is_negated_forward_block(self):
         lams, f2t = self._data()
         v = build_v_blocks(lams, f2t, 2)
-        w = build_vinv_blocks(lams, f2t, 2, method="forest")
+        w = build_vinv_blocks(lams, f2t, 2)
         assert np.allclose(w[(1, 2)], -v[(1, 2)], atol=1e-13)
 
     def test_explicit_13_formula(self):
         lams, f2t = self._data(2)
-        w = build_vinv_blocks(lams, f2t, 3, method="forest")
         oracle = _paper_vinv_13(lams, f2t)
-        assert np.abs(w[(1, 3)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        for build in (build_vinv_blocks, _vinv_blocks_by_forest):
+            w = build(lams, f2t, 3)
+            assert np.abs(w[(1, 3)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_explicit_24_five_forest_formula(self):
         lams, f2t = self._data(3)
-        w = build_vinv_blocks(lams, f2t, 4, method="forest")
         oracle = _paper_vinv_24(lams, f2t)
-        assert np.abs(w[(2, 4)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        for build in (build_vinv_blocks, _vinv_blocks_by_forest):
+            w = build(lams, f2t, 4)
+            assert np.abs(w[(2, 4)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_methods_agree(self):
-        lams, f2t = self._data(4)
-        wf = build_vinv_blocks(lams, f2t, 4, method="forest")
-        wb = build_vinv_blocks(lams, f2t, 4, method="backsubstitution")
-        for key in wf:
-            scale = max(np.abs(wb[key]).max(), 1.0)
-            assert np.abs(wf[key] - wb[key]).max() <= 1e-9 * scale
+        # production (compositional inverse) against the per-tree forest oracle
+        for n, k in [(1, 8), (2, 4), (2, 6), (3, 5)]:
+            rng = np.random.default_rng(4 + 10 * n + k)
+            lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+            f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+            w = build_vinv_blocks(lams, f2t, k)
+            oracle = _vinv_blocks_by_forest(lams, f2t, k)
+            assert sorted(w) == sorted(oracle)
+            for key, block in oracle.items():
+                scale = np.abs(block).max()
+                assert np.abs(w[key] - block).max() <= 1e-12 * scale, (n, k, key)
 
     def test_block_product_is_identity(self):
         lams, f2t = self._data(5)
         k = 4
         v = build_v_blocks(lams, f2t, k)
-        w = build_vinv_blocks(lams, f2t, k, method="forest")
+        w = build_vinv_blocks(lams, f2t, k)
         n = 2
         for i in range(1, k + 1):
             for j in range(i, k + 1):
@@ -309,10 +317,24 @@ class TestVInverseBlocks:
     def test_scalar_forest_bound_beats_factorial_path_bound(self):
         a, b = -1.0, 0.6
         k = 8
-        w = build_vinv_blocks(np.array([a]), np.array([[b]]), k, method="forest")
+        w = build_vinv_blocks(np.array([a]), np.array([[b]]), k)
         for j in range(2, k + 1):
             bound = (4 * abs(b) / abs(a)) ** (j - 1)
             assert abs(w[(1, j)][0, 0]) <= bound
+
+    def test_resonant_spectrum_raises(self):
+        # lambda_2 = 2 lambda_1 makes the order-2 denominator vanish
+        lams = np.array([-1.0 + 0j, -2.0 + 0j])
+        f2t = np.ones((2, 4), dtype=complex)
+        with pytest.raises(ResonantDenominatorError):
+            build_vinv_blocks(lams, f2t, 3)
+
+    def test_method_argument_rejected(self):
+        lams, f2t = self._data()
+        with pytest.raises(TypeError):
+            build_vinv_blocks(lams, f2t, 3, method="forest")
+        with pytest.raises(TypeError):
+            build_vinv_blocks(lams, f2t, 3, "backsubstitution")
 
 
 class TestDiagonalize:

@@ -103,6 +103,29 @@ class TestRP:
         p = linalg.solve_lyapunov(sys.f1)
         assert r_p(sys, x0, c * p) == pytest.approx(r_p(sys, x0, p), rel=1e-12)
 
+    def test_weight_factored_once_per_call(self, monkeypatch):
+        from carleman_lab import stability
+
+        calls = []
+        real = linalg._pd_sqrt_factors
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        for module in (linalg, stability):
+            monkeypatch.setattr(module, "_pd_sqrt_factors", counting)
+        sys = random_stable_system(7)
+        x0 = np.array([0.4, -0.3])
+        p = linalg.solve_lyapunov(sys.f1)
+        value = r_p(sys, x0, p)
+        assert len(calls) == 1
+        # bitwise the value the per-quantity weighted norms give
+        mu_p = linalg.generalized_log_norm(sys.f1, p)
+        assert mu_p < 0
+        norms = linalg.p_norms(x0, sys.f2, sys.f0, p)
+        assert value == float((norms["f2"] * norms["x"] + norms["f0"] / norms["x"]) / (-mu_p))
+
     def test_condition_number_bound_dominates(self):
         sys = random_stable_system(6)
         x0 = np.array([0.5, 0.1])

@@ -274,3 +274,24 @@ class TestSpectrum:
         spec.x_max_tilde([0.3, 0.1], 2.0, 1e-9)
         assert len(calls) == 4
         assert first == real(sys, [0.3, 0.1], spec.dec.right_vectors, 2.0, tol=1e-10)
+
+    def test_x_max_tilde_escape_remembered(self, monkeypatch):
+        from carleman_lab import conservative
+
+        calls = []
+        real = conservative.estimate_x_max_tilde
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conservative, "estimate_x_max_tilde", counting)
+        # xdot = -x + 2 x^2 from x0 = 3 blows up before t = 1
+        spec = QuadraticSystem(f0=[0.0], f1=[[-1.0]], f2=[[2.0]]).spectrum
+        for _ in range(3):
+            with pytest.raises((StepSizeUnderflowError, NonFiniteStateError)):
+                spec.x_max_tilde([3.0], 10.0, 1e-12)
+        assert len(calls) == 1
+        # a different key solves again
+        assert spec.x_max_tilde([0.1], 10.0, 1e-12) > 0
+        assert len(calls) == 2
