@@ -173,7 +173,7 @@ def build_blocks(sys: QuadraticSystem, k: int, cap: int | None = None) -> Carlem
 
 
 def assemble_dense(cm: CarlemanMatrix, cap: int | None = None) -> np.ndarray:
-    """Dense copy of the sparse generator, for diagonalization and test oracles."""
+    """Dense copy of the sparse generator; a test oracle, used by no production path."""
     _check_cap(cm.total_dim, cap)
     return cm.generator().toarray()
 

@@ -168,55 +168,36 @@ def _json_safe(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _stable_cert_dict(cert: stability.StabilityCertificate) -> dict:
-    return {
-        "criterion": "R_P",
-        "value": cert.value,
-        "certified": cert.certified,
-        "reason": cert.reason,
-        "alpha": cert.alpha,
-        "mu": cert.mu,
-        "gamma": cert.gamma,
-        "xi": cert.xi,
-        "p": None
-        if cert.p is None
-        else [[[z.real, z.imag] for z in row] for row in cert.p],
-        "p_inv_norm": cert.p_inv_norm,
-        "kappa_p": cert.kappa_p,
-        "late_time_estimate": cert.late_time_estimate,
-    }
+# serialized fields per certificate type; "name?" is left out when None
+_STABLE_FIELDS = (
+    "value", "certified", "reason", "alpha", "mu", "gamma", "xi", "p",
+    "p_inv_norm", "kappa_p", "late_time_estimate",
+)
+_CONSERVATIVE_FIELDS = (
+    "value", "certified", "reason", "delta", "gamma0", "p", "x_max_tilde",
+    "caveats", "upsilon?",
+)
+_NONRESONANT_FIELDS = (
+    "variant", "value", "certified", "reason", "delta", "omega", "x_max_tilde",
+    "sparsity", "caveats",
+)
 
 
-def _conservative_cert_dict(cert: conservative.ConservativeCertificate) -> dict:
-    out = {
-        "criterion": "R_delta",
-        "value": cert.value,
-        "certified": cert.certified,
-        "reason": cert.reason,
-        "delta": cert.delta,
-        "gamma0": cert.gamma0,
-        "p": cert.p,
-        "x_max_tilde": cert.x_max_tilde,
-        "caveats": list(cert.caveats),
-    }
-    if cert.upsilon is not None:
-        out["upsilon"] = cert.upsilon
-    return out
+def _cert_dict(cert, criterion: str, fields: tuple) -> dict:
+    """The criterion plus the named fields of ``cert``, JSON-safe.
 
-
-def _nonresonant_cert_dict(cert: nonresonant.NonresonantCertificate) -> dict:
-    return {
-        "criterion": "R_omega" if cert.variant == "oscillating_f2" else "R_Delta",
-        "variant": cert.variant,
-        "value": cert.value,
-        "certified": cert.certified,
-        "reason": cert.reason,
-        "delta": cert.delta,
-        "omega": cert.omega,
-        "x_max_tilde": cert.x_max_tilde,
-        "sparsity": cert.sparsity,
-        "caveats": list(cert.caveats),
-    }
+    A matrix is written as rows of [re, im] pairs.
+    """
+    out = {"criterion": criterion}
+    for name in fields:
+        key = name.rstrip("?")
+        value = getattr(cert, key)
+        if value is None and name.endswith("?"):
+            continue
+        if isinstance(value, np.ndarray):
+            value = [[[z.real, z.imag] for z in row] for row in value]
+        out[key] = value
+    return _json_safe(out)
 
 
 def cmd_certify(args) -> int:
@@ -225,25 +206,26 @@ def cmd_certify(args) -> int:
     kw = {"horizon": args.t if args.t else 10.0, "tol": args.tol}
     stages = [
         ("stable", lambda: stability.optimize_rp(sysd, x0, budget=args.budget),
-         _stable_cert_dict),
+         "R_P", _STABLE_FIELDS),
         ("conservative", lambda: conservative.certify_conservative(sysd, x0, **kw),
-         _conservative_cert_dict),
+         "R_delta", _CONSERVATIVE_FIELDS),
         ("nonresonant_poincare", lambda: nonresonant.certify_poincare(sysd, x0, **kw),
-         _nonresonant_cert_dict),
+         "R_Delta", _NONRESONANT_FIELDS),
         ("siegel_split", lambda: nonresonant.certify_siegel_split(sysd, x0, **kw),
-         _nonresonant_cert_dict),
+         "R_Delta", _NONRESONANT_FIELDS),
     ]
     if args.f2_frequency:
         stages.append((
             "oscillating_f2",
             lambda: nonresonant.certify_oscillating(sysd, x0, args.f2_frequency, **kw),
-            _nonresonant_cert_dict,
+            "R_omega",
+            _NONRESONANT_FIELDS,
         ))
     chain: dict = {}
     winner = None
-    for name, run, to_dict in stages:
+    for name, run, criterion, fields in stages:
         cert = run()
-        chain[name] = _json_safe(to_dict(cert))
+        chain[name] = _cert_dict(cert, criterion, fields)
         if cert.certified and winner is None:
             winner = name
             if not args.all_certificates:

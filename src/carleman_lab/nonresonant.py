@@ -298,7 +298,11 @@ def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
     solves (V^{-1} V)_(1,j) = 0, and block (i, j) is built from the G_m
     like V from the forest weights.
     """
-    v = build_v_blocks(lams, f2_tilde, k)
+    return _compositional_inverse(build_v_blocks(lams, f2_tilde, k), k)
+
+
+def _compositional_inverse(v: dict, k: int) -> dict:
+    """V^{-1} blocks from the V blocks of :func:`build_v_blocks`."""
     g = {1: v[(1, 1)]}
     for j in range(2, k + 1):
         g[j] = -sum(g[m] @ v[(m, j)] for m in range(1, j))
@@ -326,7 +330,23 @@ def _vinv_blocks_by_forest(lams, f2_tilde, k: int) -> dict:
 
 @dataclass(frozen=True)
 class CarlemanDiagonalization:
-    """Explicit similarity transform of a lift generator in eigencoordinates."""
+    """Explicit similarity transform of a lift generator in eigencoordinates.
+
+    Both residuals are checked block by block on the sparse lift A~ of the
+    system in eigencoordinates, over every upper block (i, j) of V and
+    W = V^{-1}, with D_j = diag(level_sums(eigenvalues, j)):
+
+    * ``residual`` = sqrt(sum ||R_(i,j)||_F^2) / max|entry of A~|, where
+      R_(i,j) = A~_(i,i) V_(i,j) + A~_(i,i+1) V_(i+1,j) - V_(i,j) D_j (the
+      second term only for i < j) is block (i, j) of A~ V - V D;
+    * ``inverse_residual`` = sqrt(sum ||E_(i,j)||_F^2), where
+      E_(i,j) = sum_{m=i..j} V_(i,m) W_(m,j) - delta_ij I is block (i, j)
+      of V W - I.
+
+    Since ||.||_2 <= ||.||_F and max|entry| <= ||A~||_2, each bounds the
+    dense quantity ||A~ V - V D||_2 / ||A~||_2, resp. ||V W - I||_2, from
+    above.
+    """
 
     k: int
     n: int
@@ -345,30 +365,30 @@ class CarlemanDiagonalization:
         """Transform block in the original (non-eigen) coordinates."""
         return kron_chain([self.q] * i) @ self.v_blocks[(i, j)]
 
-    def dense_v(self) -> np.ndarray:
-        return _dense_from_blocks(self.v_blocks, self.n, self.k)
 
-    def dense_vinv(self) -> np.ndarray:
-        return _dense_from_blocks(self.vinv_blocks, self.n, self.k)
-
-    def dense_d(self) -> np.ndarray:
-        return np.diag(
-            np.concatenate([self.level_entries(j) for j in range(1, self.k + 1)])
-        )
-
-
-def _dense_from_blocks(blocks: dict, n: int, k: int) -> np.ndarray:
-    offsets = np.cumsum([0] + [n**j for j in range(1, k + 1)])
-    dim = offsets[-1]
-    out = np.zeros((dim, dim), dtype=complex)
-    for (i, j), b in blocks.items():
-        out[offsets[i - 1] : offsets[i], offsets[j - 1] : offsets[j]] = b
-    return out
+def _blockwise_residuals(lift, lams, v: dict, w: dict) -> tuple[float, float]:
+    """``residual`` and ``inverse_residual`` of :class:`CarlemanDiagonalization`."""
+    truncated = (*lift.diag, *lift.upper[: lift.k - 1])
+    scale = max(max(abs(b).max() for b in truncated), 1e-300)
+    similarity, inverse = [], []
+    for (i, j), vij in v.items():
+        r = lift.block_diag(i) @ vij - vij * level_sums(lams, j)[None, :]
+        if i < j:
+            r += lift.block_upper(i) @ v[(i + 1, j)]
+        e = sum(v[(i, m)] @ w[(m, j)] for m in range(i, j + 1))
+        if i == j:
+            e[np.diag_indices_from(e)] -= 1.0
+        similarity.append(np.linalg.norm(r))
+        inverse.append(np.linalg.norm(e))
+    return (
+        float(np.linalg.norm(similarity) / scale),
+        float(np.linalg.norm(inverse)),
+    )
 
 
 def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalization:
     """Build and verify the explicit diagonalization of the order-k lift."""
-    from .carleman import assemble_dense, build_blocks
+    from .carleman import build_blocks
 
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("diagonalization requires a driftless system")
@@ -379,17 +399,10 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     transformed = QuadraticSystem(
         f0=np.zeros(sys.n), f1=np.diag(lams), f2=f2t
     )
-    a_tilde = assemble_dense(build_blocks(transformed, k))
+    lift = build_blocks(transformed, k)
     v_blocks = build_v_blocks(lams, f2t, k)
-    vinv_blocks = build_vinv_blocks(lams, f2t, k)
-    dense_v = _dense_from_blocks(v_blocks, sys.n, k)
-    dense_vinv = _dense_from_blocks(vinv_blocks, sys.n, k)
-    d = np.concatenate([level_sums(lams, j) for j in range(1, k + 1)])
-    scale = max(np.linalg.norm(a_tilde, 2), 1e-300)
-    residual = float(np.linalg.norm(a_tilde @ dense_v - dense_v * d[None, :], 2) / scale)
-    inverse_residual = float(
-        np.linalg.norm(dense_v @ dense_vinv - np.eye(dense_v.shape[0]), 2)
-    )
+    vinv_blocks = _compositional_inverse(v_blocks, k)
+    residual, inverse_residual = _blockwise_residuals(lift, lams, v_blocks, vinv_blocks)
     return CarlemanDiagonalization(
         k=k,
         n=sys.n,

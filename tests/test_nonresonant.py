@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from carleman_lab import carleman, nonresonant
+from carleman_lab.carleman import assemble_dense, build_blocks
+from carleman_lab.cli import main as cli_main
 from carleman_lab.errors import (
     NotPoincareError,
     ResonanceFoundError,
@@ -18,6 +21,7 @@ from carleman_lab.nonresonant import (
     shift_to_fixed_point,
     build_v_blocks,
     build_vinv_blocks,
+    _blockwise_residuals,
     _vinv_blocks_by_forest,
     certify_oscillating,
     certify_poincare,
@@ -36,6 +40,7 @@ from carleman_lab.nonresonant import (
     siegel_type_estimate,
     xi_nu,
 )
+from carleman_lab.jsonio import system_to_json
 from carleman_lab.system import (
     QuadraticSystem,
     integrate_nonautonomous,
@@ -378,6 +383,96 @@ class TestDiagonalize:
         diag = diagonalize_carleman(sys, 2)
         expected = np.kron(diag.q, np.array([[1.0]])) @ diag.v_blocks[(1, 2)]
         assert np.allclose(diag.ambient_v_block(1, 2), expected)
+
+    @staticmethod
+    def _dense_oracle(diag, v, w):
+        """Dense ||A~ V - V D||_2 / ||A~||_2 and ||V W - I||_2 for blocks v, w."""
+        n, k = diag.n, diag.k
+        transformed = QuadraticSystem(
+            f0=np.zeros(n), f1=np.diag(diag.eigenvalues), f2=diag.f2_tilde
+        )
+        a = assemble_dense(build_blocks(transformed, k))
+        offsets = np.cumsum([0] + [n**j for j in range(1, k + 1)])
+        dense = []
+        for blocks in (v, w):
+            out = np.zeros_like(a)
+            for (i, j), b in blocks.items():
+                out[offsets[i - 1] : offsets[i], offsets[j - 1] : offsets[j]] = b
+            dense.append(out)
+        dv, dw = dense
+        d = np.concatenate([diag.level_entries(j) for j in range(1, k + 1)])
+        similarity = np.linalg.norm(a @ dv - dv * d[None, :], 2) / np.linalg.norm(a, 2)
+        inverse = np.linalg.norm(dv @ dw - np.eye(a.shape[0]), 2)
+        return similarity, inverse
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (4, 3)])
+    def test_blockwise_residuals_bound_dense_oracle(self, n, k):
+        diag = diagonalize_carleman(random_poincare_system(20 + n, n=n), k)
+        similarity, inverse = self._dense_oracle(diag, diag.v_blocks, diag.vinv_blocks)
+        assert similarity <= diag.residual <= 1e-10
+        # at roundoff level the blockwise and dense products of V W round
+        # differently, so here both only have to be small
+        assert max(inverse, diag.inverse_residual) <= 1e-10
+        # a perturbation well above roundoff makes the inequalities exact
+        rng = np.random.default_rng(n)
+
+        def perturbed(blocks):
+            return {
+                key: b + 1e-7 * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
+                for key, b in blocks.items()
+            }
+
+        v, w = perturbed(diag.v_blocks), perturbed(diag.vinv_blocks)
+        lift = build_blocks(
+            QuadraticSystem(f0=np.zeros(n), f1=np.diag(diag.eigenvalues), f2=diag.f2_tilde), k
+        )
+        blockwise = _blockwise_residuals(lift, diag.eigenvalues, v, w)
+        similarity, inverse = self._dense_oracle(diag, v, w)
+        assert 1e-9 < similarity <= blockwise[0]
+        assert 1e-9 < inverse <= blockwise[1]
+
+    def test_perturbed_transform_fails_the_check(self, monkeypatch, tmp_path):
+        real = nonresonant.build_v_blocks
+
+        def perturbed(*args, **kwargs):
+            v = real(*args, **kwargs)
+            v[(1, 2)][0, 0] += 1e-6
+            return v
+
+        monkeypatch.setattr(nonresonant, "build_v_blocks", perturbed)
+        sys = random_poincare_system(30)
+        assert diagonalize_carleman(sys, 4).residual > 1e-9
+        path = tmp_path / "sys.json"
+        path.write_text(system_to_json(sys))
+        argv = ["diagonalize", "--system", str(path), "--x0", "0.1,0.1", "--k", "4"]
+        assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+
+    def test_builds_v_once(self, monkeypatch):
+        calls = []
+        real = nonresonant.build_v_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nonresonant, "build_v_blocks", counting)
+        diagonalize_carleman(random_poincare_system(31), 4)
+        assert len(calls) == 1
+
+    def test_no_dense_lift(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense lift requested")
+
+        monkeypatch.setattr(carleman, "assemble_dense", refuse)
+        monkeypatch.setattr(carleman.sp.csr_array, "toarray", refuse)
+        diag = diagonalize_carleman(random_poincare_system(32, n=3), 3)
+        assert diag.residual <= 1e-10 and diag.inverse_residual <= 1e-10
+
+    def test_order_nine(self):
+        # lift dimension 2 + 4 + ... + 512 = 1022
+        diag = diagonalize_carleman(random_poincare_system(33), 9)
+        assert diag.residual <= 1e-10
+        assert diag.inverse_residual <= 1e-10
 
 
 class TestNormBounds:
