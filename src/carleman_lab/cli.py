@@ -374,12 +374,12 @@ def cmd_diagonalize(args) -> int:
     except (NotPoincareError, ResonanceFoundError, CapExceededError):
         for (i, j), block in sorted(diag.v_blocks.items()):
             dump["blocks"][f"{i},{j}"] = {
-                "norm": float(np.linalg.norm(block, 2)),
+                "norm": nonresonant.block_norm(block),
                 "bound": None,
             }
         for (i, j), block in sorted(diag.vinv_blocks.items()):
             dump["inverse_blocks"][f"{i},{j}"] = {
-                "norm": float(np.linalg.norm(block, 2)),
+                "norm": nonresonant.block_norm(block),
                 "bound": None,
             }
     _pick_format(args, "json", ("json",))

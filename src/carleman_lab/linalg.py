@@ -188,7 +188,11 @@ def generalized_log_norm(m, p) -> float:
     reduces to :func:`log_norm` at P = I.
     """
     a = _require_square(m)
-    root, inv_root = _pd_sqrt_factors(p)
+    return _factored_log_norm(a, *_pd_sqrt_factors(p))
+
+
+def _factored_log_norm(a: np.ndarray, root: np.ndarray, inv_root: np.ndarray) -> float:
+    """:func:`generalized_log_norm` from the factors (P^{1/2}, P^{-1/2})."""
     s = root @ a @ inv_root
     return float(np.max(np.linalg.eigvalsh((s + s.conj().T) / 2.0)))
 
@@ -224,10 +228,15 @@ def p_norms(x, f2, f0, p) -> dict:
         raise DimensionMismatchError(
             f"x:{v.size} f0:{d.size} f2:{a.shape} inconsistent with weight dim {n}"
         )
+    return _factored_norms(v, d, a, *_pd_sqrt_factors(p))
+
+
+def _factored_norms(v, d, a, root: np.ndarray, inv_root: np.ndarray) -> dict:
+    """:func:`p_norms` from the factors (P^{1/2}, P^{-1/2}), for callers that hold them."""
     return {
-        "x": p_vector_norm(v, p),
-        "f0": p_vector_norm(d, p),
-        "f2": p_quadratic_operator_norm(a, p),
+        "x": float(np.linalg.norm(root @ v)),
+        "f0": float(np.linalg.norm(root @ d)),
+        "f2": float(np.linalg.norm(root @ a @ np.kron(inv_root, inv_root), 2)),
     }
 
 

@@ -23,6 +23,8 @@ from .errors import (
     ZeroInitialStateError,
 )
 from .linalg import (
+    _factored_log_norm,
+    _factored_norms,
     _pd_sqrt_factors,
     as_cvector,
     generalized_log_norm,
@@ -172,15 +174,15 @@ def _batched_rp(sys: QuadraticSystem, x0: np.ndarray, ps: np.ndarray) -> np.ndar
     return vals
 
 
-def _gamma_search(sys: QuadraticSystem, x0: np.ndarray, p: np.ndarray):
+def _gamma_search(mu_p: float, norms: dict):
     """Find a rescaling making the decay budget negative and ||g x0||_P < 1.
 
-    Scans a 200-point log grid around 1/||x0||_P and keeps the feasible
-    gamma with the most negative budget, then refines locally.  Returns
-    (gamma, xi) or (None, None) when no grid point is feasible.
+    ``mu_p`` and ``norms`` are mu_P(F1) and the :func:`p_norms` of
+    (x0, F2, F0) for the witness.  Scans a 200-point log grid around
+    1/||x0||_P and keeps the feasible gamma with the most negative
+    budget, then refines locally.  Returns (gamma, xi) or (None, None)
+    when no grid point is feasible.
     """
-    norms = p_norms(x0, sys.f2, sys.f0, p)
-    mu_p = generalized_log_norm(sys.f1, p)
     x0_p, f0_p, f2_p = norms["x"], norms["f0"], norms["f2"]
 
     def budget(g: float):
@@ -226,17 +228,19 @@ def _certificate_from_p(
 ) -> StabilityCertificate:
     alpha = spectral_abscissa(sys.f1)
     mu = log_norm(sys.f1)
-    mu_p = generalized_log_norm(sys.f1, p)
+    # every weighted norm below shares one factorization of P, as in r_p
+    root, inv_root = _pd_sqrt_factors(p)
+    mu_p = _factored_log_norm(sys.f1, root, inv_root)
     pinv_norm = float(np.linalg.norm(np.linalg.inv(p), 2))
     kappa_p = float(np.linalg.norm(p, 2) * pinv_norm)
-    norms = p_norms(x0, sys.f2, sys.f0, p)
+    norms = _factored_norms(x0, sys.f0, sys.f2, root, inv_root)
     disc = mu_p * mu_p - 4.0 * norms["f0"] * norms["f2"]
     late = None
     if norms["f2"] > 0 and disc >= 0:
         late = float((-mu_p - np.sqrt(disc)) / (2.0 * norms["f2"]))
     gamma, xi = (None, None)
     if value < 1.0:
-        gamma, xi = _gamma_search(sys, x0, p)
+        gamma, xi = _gamma_search(mu_p, norms)
     certified = value < 1.0 and gamma is not None
     reason = ""
     if value >= 1.0:
@@ -258,7 +262,7 @@ def _certificate_from_p(
         f2_p_rescaled=(
             None
             if rescaled is None
-            else p_norms(x0, rescaled.f2, rescaled.f0, p)["f2"]
+            else _factored_norms(x0, rescaled.f0, rescaled.f2, root, inv_root)["f2"]
         ),
         x0_p_rescaled=None if gamma is None else float(gamma * norms["x"]),
         kappa_p=kappa_p,

@@ -218,11 +218,17 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
     return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
 
 
-def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
-    """RK45 solve of xdot = f(t, x) sampled at the given times, with one failure policy.
+def _dormand_prince(
+    f, v0: np.ndarray, times, rel_tol, abs_tol, *, method: str = "RK45"
+) -> Trajectory:
+    """Dormand-Prince solve of xdot = f(t, x) at the given times, with one failure policy.
 
-    The times must start at 0 and increase strictly.  A collapsed step
-    raises :class:`StepSizeUnderflowError`, any other solver failure or a
+    ``method`` is the scipy pair, fixed by each caller: the 5(4) pair
+    "RK45" for the reference oracles the lift is scored against, the
+    8(5,3) pair "DOP853" for the certifiers' trajectory supremum, where
+    it needs about four times fewer rhs evaluations at 1e-12.  The times
+    must start at 0 and increase strictly.  A collapsed step raises
+    :class:`StepSizeUnderflowError`, any other solver failure or a
     non-finite sampled state raises :class:`NonFiniteStateError`.
     """
     t = np.asarray(times, dtype=float)
@@ -236,7 +242,7 @@ def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
             f,
             (0.0, float(t[-1])),
             v0.astype(complex),
-            method="RK45",
+            method=method,
             t_eval=t,
             rtol=max(rel_tol, 3e-14),
             atol=abs_tol,

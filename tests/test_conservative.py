@@ -1,9 +1,14 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from carleman_lab import conservative, system
 from carleman_lab.carleman import error_profile
+from carleman_lab.cli import main as cli_main
 from carleman_lab.conservative import (
     certify_conservative,
     conservative_error_bound,
@@ -27,6 +32,7 @@ from carleman_lab.errors import (
 from carleman_lab.fixtures import (
     conservative_ellipse_test,
     conservative_toy,
+    fixture,
     oscillating_toy,
     reduced_conservative_rp,
     time_dep_toy,
@@ -36,7 +42,22 @@ from carleman_lab.system import (
     integrate_nonautonomous,
     integrate_reference,
     rescale,
+    rhs,
 )
+
+# (fixture, parameters) of the benchmark's certify requests, at the
+# values its seeds jitter by 2%
+BENCH_CERTIFY_CASES = (
+    ("scalar", {"a": -1.0, "b": 0.1}),
+    ("damped_oscillator", {"r": 1.6, "n": 0.22}),
+    ("damped_oscillator", {"r": 1.0, "n": 0.5}),
+    ("oscillating_toy", {"omega": 2.0, "a": 0.02}),
+    ("time_dep_toy", {"a": 0.05, "c1": 0.1}),
+    ("conservative_toy", {"a": 0.2, "b": 0.05}),
+    ("oscillator_network", {"w": 0.05, "n": 3}),
+)
+ESCAPE = ["certify", "--fixture", "scalar", "--param", "a=-1", "--param", "b=2",
+          "--param", "x0=3.0"]
 
 
 class TestDetectInvariants:
@@ -137,6 +158,58 @@ class TestEstimateXMax:
         short = estimate_x_max_tilde(sys, [0.0], np.eye(1), horizon=1.0)
         long = estimate_x_max_tilde(sys, [0.0], np.eye(1), horizon=5.0)
         assert long > 4 * short
+
+
+class TestSupremumSolver:
+    @staticmethod
+    def record(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            # recorded before the call, so a solve that raises counts too
+            call = {"args": args, "kwargs": kwargs}
+            calls.append(call)
+            call["result"] = real(*args, **kwargs)
+            return call["result"]
+
+        monkeypatch.setattr(module, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("name,params", BENCH_CERTIFY_CASES)
+    def test_agrees_with_tight_dop853(self, monkeypatch, tmp_path, name, params):
+        sups = self.record(monkeypatch, conservative, "estimate_x_max_tilde")
+        argv = ["certify", "--fixture", name, "--all"]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value!r}"]
+        if name == "oscillator_network":
+            omega = fixture(name, **params).extras["omega"]
+            argv += ["--f2-frequency", repr(omega)]
+        cli_main([*argv, "--out", str(tmp_path / "cert.json")])
+        assert sups
+        for call in sups:
+            (sys, x0, q, horizon), value = call["args"], call["result"]
+            ts = np.linspace(0.0, horizon, 2001)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy clamps rtol to 100 eps
+                sol = solve_ivp(
+                    lambda _t, y: rhs(sys, y), (0.0, horizon), np.asarray(x0, complex),
+                    method="DOP853", t_eval=ts, rtol=1e-14, atol=1e-14,
+                )
+            assert sol.success
+            sup = np.max(np.linalg.norm(np.linalg.inv(q) @ sol.y, axis=0))
+            assert value == pytest.approx(conservative.XMAX_SAFETY * sup, rel=1e-10)
+
+    def test_escape_reported_after_one_solve(self, monkeypatch, tmp_path):
+        sups = self.record(monkeypatch, conservative, "estimate_x_max_tilde")
+        solves = self.record(monkeypatch, system, "solve_ivp")
+        out = tmp_path / "cert.json"
+        assert cli_main([*ESCAPE, "--all", "--out", str(out)]) == 3
+        diag = json.loads(out.read_text())["diagnostics"]
+        for stage in ("conservative", "nonresonant_poincare", "siegel_split"):
+            assert diag[stage]["reason"] == "trajectory escapes in finite time"
+        assert len(sups) == 1
+        assert [call["kwargs"]["method"] for call in solves] == ["DOP853"]
 
 
 class TestConservativeErrorBound:

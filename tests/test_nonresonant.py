@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from carleman_lab.nonresonant import (
     BOUNDARY,
     POINCARE,
     SIEGEL,
+    block_norm,
     build_nl,
     classify_spectrum,
     shift_to_fixed_point,
@@ -40,7 +42,7 @@ from carleman_lab.nonresonant import (
     siegel_type_estimate,
     xi_nu,
 )
-from carleman_lab.jsonio import system_to_json
+from carleman_lab.jsonio import system_from_json, system_to_json
 from carleman_lab.system import (
     QuadraticSystem,
     integrate_nonautonomous,
@@ -502,6 +504,71 @@ class TestNormBounds:
         diag = diagonalize_carleman(sys, 5)
         report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
         assert report["all_ok"]
+
+
+class TestBlockNorm:
+    @staticmethod
+    def svd_inputs(monkeypatch):
+        seen = []
+        real = np.linalg.norm
+
+        def recording(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                seen.append(np.array(x))
+            return real(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        return seen
+
+    def test_identity_blocks_take_no_svd(self, monkeypatch):
+        diag = diagonalize_carleman(random_poincare_system(8, n=3), 4)
+        diagonal = [
+            blocks[(i, j)]
+            for blocks in (diag.v_blocks, diag.vinv_blocks)
+            for (i, j) in blocks
+            if i == j
+        ]
+        assert all(np.array_equal(b, np.eye(len(b))) for b in diagonal)
+        seen = self.svd_inputs(monkeypatch)
+        assert block_norm(np.eye(27, dtype=complex)) == 1.0
+        report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
+        assert not any(
+            a.shape[0] == a.shape[1] and np.array_equal(a, np.eye(len(a))) for a in seen
+        )
+        assert all(row["norm"] == 1.0 for row in report["rows"] if row["i"] == row["j"])
+
+    def test_perturbed_identity_takes_svd(self, monkeypatch):
+        block = np.eye(9, dtype=complex)
+        block[4, 4] += 1e-12
+        expected = np.linalg.norm(block, 2)
+        seen = self.svd_inputs(monkeypatch)
+        assert block_norm(block) == expected and expected != 1.0
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4)])
+    @pytest.mark.parametrize("domain", [POINCARE, SIEGEL])
+    def test_cli_norms_match_svd_of_every_block(self, tmp_path, n, k, domain):
+        sys = random_poincare_system(5, n=n)
+        if domain == SIEGEL:
+            # one unstable mode: norms are reported without bounds
+            sys = QuadraticSystem(
+                f0=sys.f0, f1=np.diag([0.7, -1.0, -0.41][:n]), f2=sys.f2
+            )
+        text = system_to_json(sys)
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(text)
+        out = tmp_path / "diag.json"
+        x0 = ",".join(["0.1"] * n)
+        argv = ["diagonalize", "--system", str(sys_file), "--x0", x0, "--k", str(k)]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        diag = diagonalize_carleman(system_from_json(text), k)
+        for key, blocks in (("blocks", diag.v_blocks), ("inverse_blocks", diag.vinv_blocks)):
+            assert len(data[key]) == len(blocks)
+            for (i, j), block in blocks.items():
+                row = data[key][f"{i},{j}"]
+                assert row["norm"] == float(np.linalg.norm(block, 2))
+                assert (row["bound"] is None) == (domain == SIEGEL)
 
 
 class TestRBigDelta:

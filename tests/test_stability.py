@@ -191,6 +191,36 @@ class TestOptimizeRP:
         classical = min(r_mu(fx.system, fx.x0), r_alpha(fx.system, fx.x0))
         assert cert.value <= classical + 1e-8
 
+    def test_certificate_factors_weight_once(self, monkeypatch):
+        from carleman_lab import stability
+
+        fx = damped_oscillator(r=1.5, n=0.1)
+        cert = optimize_rp(fx.system, fx.x0, budget=600)
+        assert cert.certified
+        calls = []
+        real = linalg._pd_sqrt_factors
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        for module in (linalg, stability):
+            monkeypatch.setattr(module, "_pd_sqrt_factors", counting)
+        sys, x0, p = fx.system, fx.x0, cert.p
+        again = stability._certificate_from_p(sys, x0, p, cert.value)
+        assert len(calls) == 1
+        # bitwise the values the per-quantity weighted norms give
+        mu_p = linalg.generalized_log_norm(sys.f1, p)
+        norms = linalg.p_norms(x0, sys.f2, sys.f0, p)
+        assert (again.gamma, again.xi) == stability._gamma_search(mu_p, norms)
+        rescaled = rescale(sys, again.gamma)
+        assert again.f2_p_rescaled == linalg.p_norms(x0, rescaled.f2, rescaled.f0, p)["f2"]
+        assert again.x0_p_rescaled == float(again.gamma * norms["x"])
+        disc = mu_p * mu_p - 4.0 * norms["f0"] * norms["f2"]
+        assert again.late_time_estimate == float(
+            (-mu_p - np.sqrt(disc)) / (2.0 * norms["f2"])
+        )
+
     def test_three_dimensional_search(self):
         sys = random_stable_system(11, n=3, f2_scale=0.02)
         x0 = np.array([0.3, 0.2, -0.1])

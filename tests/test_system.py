@@ -184,6 +184,39 @@ class TestIntegrateReference:
             integrate_reference(random_system(5), np.zeros(2), [1.0, 2.0])
 
 
+class TestSolverPerCaller:
+    """The reference oracles stay on RK45; the supremum solve uses DOP853."""
+
+    @staticmethod
+    def methods(monkeypatch):
+        from carleman_lab import system
+
+        seen = []
+        real = system.solve_ivp
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(system, "solve_ivp", recording)
+        return seen
+
+    def test_reference_solves_use_rk45(self, monkeypatch):
+        seen = self.methods(monkeypatch)
+        integrate_reference(random_system(2), [0.3, 0.1], np.linspace(0.0, 2.0, 5))
+        integrate_nonautonomous(lambda _t, x: -x, [1.0], np.linspace(0.0, 1.0, 3))
+        assert seen == ["RK45", "RK45"]
+
+    def test_supremum_uses_dop853(self, monkeypatch):
+        from carleman_lab import conservative
+
+        seen = self.methods(monkeypatch)
+        sys = random_system(2)
+        conservative.estimate_x_max_tilde(sys, [0.3, 0.1], np.eye(2), 2.0)
+        sys.spectrum.x_max_tilde([0.3, 0.1], 2.0, 1e-12)
+        assert seen == ["DOP853", "DOP853"]
+
+
 class TestNormMonotonicity:
     def test_log_norm_certified_decrease(self):
         # mu(F1) < 0 and R_mu < 1 force the Euclidean norm down
