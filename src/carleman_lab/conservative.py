@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     ZeroDriveError,
     ZeroNonlinearityError,
 )
-from .linalg import as_cmatrix, as_cvector
+from .linalg import as_cmatrix, as_cvector, kron2, kron_pair, kron_square, spectral_norm
 from .system import QuadraticSystem, _dormand_prince
 
 DETECTION_TOL_DEFAULT = 1e-9
@@ -113,7 +114,7 @@ def transformed_f2_norm(sys: QuadraticSystem, q) -> float:
         qinv = np.linalg.inv(qm)
     except np.linalg.LinAlgError as exc:
         raise SingularQError(str(exc)) from exc
-    return float(np.linalg.norm(qinv @ sys.f2 @ np.kron(qm, qm), 2))
+    return float(spectral_norm(qinv @ sys.f2 @ kron_square(qm)))
 
 
 def r_delta(sys: QuadraticSystem, x_max_tilde: float, q) -> float:
@@ -143,12 +144,10 @@ def estimate_x_max_tilde(
     except np.linalg.LinAlgError as exc:
         raise SingularQError(str(exc)) from exc
     v0 = as_cvector(x0)
-
-    def f(_t, y):
-        return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
-
     ts = np.linspace(0.0, float(horizon), _XMAX_SAMPLES)
-    states = _dormand_prince(f, v0, ts, tol, tol, method="DOP853").states.T
+    states = _dormand_prince(
+        lambda _t, y: sys.vector_field(y), v0, ts, tol, tol, method="DOP853"
+    ).states.T
     sup = float(np.max(np.linalg.norm(qinv @ states, axis=0)))
     return XMAX_SAFETY * sup
 
@@ -366,8 +365,13 @@ class FourierModes:
     f2: np.ndarray
     terms: tuple  # (omega_j, f0_j, f1_j) triples
 
+    @cached_property
+    def static(self) -> QuadraticSystem:
+        """The time-independent part (F0, F1, F2) as a system."""
+        return QuadraticSystem(f0=self.f0_static, f1=self.f1_static, f2=self.f2)
+
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = self.f0_static + self.f1_static @ x + self.f2 @ np.kron(x, x)
+        out = self.static.vector_field(x)
         for omega, f0_j, f1_j in self.terms:
             phase = np.exp(1j * omega * t)
             out = out + phase * (f0_j + f1_j @ x)
@@ -432,7 +436,7 @@ class PolynomialLift:
 
     def lift_state(self, x0) -> np.ndarray:
         v = as_cvector(x0)
-        return np.concatenate([v, np.kron(v, v)])
+        return np.concatenate([v, kron_pair(v)])
 
     def check_conserved(self, q2, tol: float = 1e-10) -> dict:
         """Residuals of a candidate quadratic invariant against both sectors."""
@@ -466,8 +470,8 @@ def embed_polynomial_conserved(sys: QuadraticSystem, r: int = 2) -> PolynomialLi
         raise DriveNotSupportedError("polynomial lift requires F0 = 0")
     n = sys.n
     eye = np.eye(n, dtype=complex)
-    a22 = np.kron(sys.f1, eye) + np.kron(eye, sys.f1)
-    a23 = np.kron(sys.f2, eye) + np.kron(eye, sys.f2)
+    a22 = kron2(sys.f1, eye) + kron2(eye, sys.f1)
+    a23 = kron2(sys.f2, eye) + kron2(eye, sys.f2)
     m = n + n * n
     f1_lift = np.zeros((m, m), dtype=complex)
     f1_lift[:n, :n] = sys.f1

@@ -634,7 +634,7 @@ def shift_to_fixed_point(sys: QuadraticSystem, x_star, tol: float = 1e-9):
     caller supplies it.
     """
     star = as_cvector(x_star)
-    residual = sys.f0 + sys.f1 @ star + sys.f2 @ np.kron(star, star)
+    residual = sys.vector_field(star)
     scale = max(
         np.linalg.norm(sys.f0),
         np.linalg.norm(sys.f1 @ star),

@@ -26,12 +26,13 @@ from .linalg import (
     _factored_log_norm,
     _factored_norms,
     _pd_sqrt_factors,
+    as_cmatrix,
     as_cvector,
-    generalized_log_norm,
+    kron_square,
     log_norm,
-    p_norms,
     solve_lyapunov,
     spectral_abscissa,
+    spectral_norm,
 )
 from .system import QuadraticSystem, rescale
 
@@ -53,9 +54,7 @@ def r_mu(sys: QuadraticSystem, x0) -> float:
     if mu >= 0:
         return np.inf
     nx = np.linalg.norm(v)
-    return float(
-        (np.linalg.norm(sys.f2, 2) * nx + np.linalg.norm(sys.f0) / nx) / (-mu)
-    )
+    return float((spectral_norm(sys.f2) * nx + np.linalg.norm(sys.f0) / nx) / (-mu))
 
 
 def r_alpha(sys: QuadraticSystem, x0) -> float:
@@ -75,16 +74,21 @@ def r_alpha(sys: QuadraticSystem, x0) -> float:
 def r_p(sys: QuadraticSystem, x0, p) -> float:
     """Lyapunov R-number for the witness P; +inf when mu_P(F1) >= 0.
 
-    R_P is R_mu in the coordinates y = P^{1/2} x, so P is factored once.
+    R_P is R_mu in the coordinates y = P^{1/2} x.  P is factored once, and
+    R_mu's operations run on the weighted coefficients directly, after the
+    same non-finite checks a weighted :class:`QuadraticSystem` makes.
     """
     v = _check_x0(x0)
     root, inv_root = _pd_sqrt_factors(p)
-    weighted = QuadraticSystem(
-        f0=root @ sys.f0,
-        f1=root @ sys.f1 @ inv_root,
-        f2=root @ sys.f2 @ np.kron(inv_root, inv_root),
-    )
-    return r_mu(weighted, root @ v)
+    f0_p = as_cvector(root @ sys.f0)
+    f1_p = as_cmatrix(root @ sys.f1 @ inv_root)
+    f2_p = as_cmatrix(root @ sys.f2 @ kron_square(inv_root))
+    y = _check_x0(root @ v)
+    mu_p = log_norm(f1_p)
+    if mu_p >= 0:
+        return np.inf
+    ny = np.linalg.norm(y)
+    return float((spectral_norm(f2_p) * ny + np.linalg.norm(f0_p) / ny) / (-mu_p))
 
 
 def rp_condition_number_bound(
@@ -106,8 +110,9 @@ def rp_condition_number_bound(
 
 def xi_bound(sys: QuadraticSystem, p) -> float:
     """Decay budget 4 mu_P + 5 ||F0||_P + 3 ||F2||_P; negative means usable."""
-    mu_p = generalized_log_norm(sys.f1, p)
-    norms = p_norms(np.zeros(sys.n), sys.f2, sys.f0, p)
+    root, inv_root = _pd_sqrt_factors(p)
+    mu_p = _factored_log_norm(sys.f1, root, inv_root)
+    norms = _factored_norms(np.zeros(sys.n), sys.f0, sys.f2, root, inv_root)
     return float(4.0 * mu_p + 5.0 * norms["f0"] + 3.0 * norms["f2"])
 
 
@@ -224,10 +229,9 @@ def _gamma_search(mu_p: float, norms: dict):
 
 
 def _certificate_from_p(
-    sys: QuadraticSystem, x0: np.ndarray, p: np.ndarray, value: float
+    sys: QuadraticSystem, x0: np.ndarray, p: np.ndarray, value: float, alpha: float, mu: float
 ) -> StabilityCertificate:
-    alpha = spectral_abscissa(sys.f1)
-    mu = log_norm(sys.f1)
+    """Certificate for the witness P with R_P = ``value``; ``alpha``, ``mu`` describe F1."""
     # every weighted norm below shares one factorization of P, as in r_p
     root, inv_root = _pd_sqrt_factors(p)
     mu_p = _factored_log_norm(sys.f1, root, inv_root)
@@ -306,12 +310,13 @@ def optimize_rp(
     """
     v = _check_x0(x0)
     alpha = spectral_abscissa(sys.f1)
+    mu = log_norm(sys.f1)
     if alpha >= 0:
         return StabilityCertificate(
             criterion="R_P",
             value=np.inf,
             alpha=alpha,
-            mu=log_norm(sys.f1),
+            mu=mu,
             certified=False,
             reason="spectral abscissa >= 0: not a stable system",
         )
@@ -419,11 +424,11 @@ def optimize_rp(
             criterion="R_P",
             value=np.inf,
             alpha=alpha,
-            mu=log_norm(sys.f1),
+            mu=mu,
             certified=False,
             reason="no positive-definite witness evaluated successfully",
         )
-    return _certificate_from_p(sys, v, best_p, best_val)
+    return _certificate_from_p(sys, v, best_p, best_val, alpha, mu)
 
 
 def stable_error_bound(cert: StabilityCertificate, j: int, k: int, t: float) -> float:

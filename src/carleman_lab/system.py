@@ -24,7 +24,17 @@ from .errors import (
     NonPositiveGammaError,
     StepSizeUnderflowError,
 )
-from .linalg import EigDecomposition, as_cmatrix, as_cvector, column_sparsity, eig
+from .linalg import (
+    EigDecomposition,
+    as_cmatrix,
+    as_cvector,
+    column_sparsity,
+    eig,
+    kron2,
+    kron_pair,
+    kron_square,
+    spectral_norm,
+)
 
 _RNG_PROBES = 8
 
@@ -60,6 +70,15 @@ class QuadraticSystem:
     def n(self) -> int:
         return self.f1.shape[0]
 
+    def vector_field(self, y: np.ndarray) -> np.ndarray:
+        """F0 + F1 y + F2 (y (x) y) for a complex state of dimension n, unchecked.
+
+        The one evaluation of the vector field: the reference and supremum
+        solves call it at every stage, so it skips the coercion and
+        dimension checks that :func:`rhs` makes.
+        """
+        return self.f0 + self.f1 @ y + self.f2 @ kron_pair(y)
+
     @cached_property
     def spectrum(self) -> Spectrum:
         """Eigenbasis data of F1, computed on first use and shared by every caller."""
@@ -91,10 +110,10 @@ class Spectrum:
         for a in (dec.eigenvalues, dec.right_vectors, dec.inverse_vectors):
             a.flags.writeable = False
         q = dec.right_vectors
-        f2t = dec.inverse_vectors @ sys.f2 @ np.kron(q, q)
+        f2t = dec.inverse_vectors @ sys.f2 @ kron_square(q)
         f2t.flags.writeable = False
-        f2n = float(np.linalg.norm(f2t, 2)) if np.all(np.isfinite(f2t)) else np.nan
-        return cls(sys, dec, f2t, f2n, column_sparsity(f2t), float(np.linalg.norm(q, 2)))
+        f2n = float(spectral_norm(f2t)) if np.all(np.isfinite(f2t)) else np.nan
+        return cls(sys, dec, f2t, f2n, column_sparsity(f2t), float(spectral_norm(q)))
 
     def x_max_tilde(self, x0, horizon: float, tol: float) -> float:
         """:func:`conservative.estimate_x_max_tilde` in this eigenbasis, solved once per key.
@@ -142,7 +161,7 @@ def rhs(sys: QuadraticSystem, x) -> np.ndarray:
     v = as_cvector(x)
     if v.size != sys.n:
         raise DimensionMismatchError(f"state dim {v.size}, system dim {sys.n}")
-    return sys.f0 + sys.f1 @ v + sys.f2 @ np.kron(v, v)
+    return sys.vector_field(v)
 
 
 def validate(sys: QuadraticSystem) -> list[str]:
@@ -160,7 +179,7 @@ def validate(sys: QuadraticSystem) -> list[str]:
     for _ in range(_RNG_PROBES):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gap = np.linalg.norm(sys.f2 @ np.kron(u, v) - sys.f2 @ np.kron(v, u))
+        gap = np.linalg.norm(sys.f2 @ kron2(u, v) - sys.f2 @ kron2(v, u))
         scale = max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
         worst = max(worst, gap / scale)
     if worst > 1e-12:
@@ -202,11 +221,7 @@ def integrate_reference(
     for tol in (rel_tol, abs_tol):
         if not 1e-14 <= tol <= 1e-3:
             raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
-
-    def f(_t, y):
-        return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
-
-    return _dormand_prince(f, v0, times, rel_tol, abs_tol)
+    return _dormand_prince(lambda _t, y: sys.vector_field(y), v0, times, rel_tol, abs_tol)
 
 
 def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:

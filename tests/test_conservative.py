@@ -212,6 +212,33 @@ class TestSupremumSolver:
         assert [call["kwargs"]["method"] for call in solves] == ["DOP853"]
 
 
+class TestSupremumVectorField:
+    @pytest.mark.parametrize("name,params", BENCH_CERTIFY_CASES)
+    def test_bitwise_equal_to_kron_closure(self, name, params):
+        fx = fixture(name, **params)
+        sys, q = fx.system, fx.system.spectrum.dec.right_vectors
+
+        def kron_field(_t, y):
+            return sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
+
+        ts = np.linspace(0.0, fx.horizon, 2001)
+        states = system._dormand_prince(
+            kron_field, np.asarray(fx.x0, complex), ts, 1e-12, 1e-12, method="DOP853"
+        ).states.T
+        sup = float(np.max(np.linalg.norm(np.linalg.inv(q) @ states, axis=0)))
+        assert estimate_x_max_tilde(sys, fx.x0, q, fx.horizon) == conservative.XMAX_SAFETY * sup
+
+    def test_fourier_rhs_bitwise_equal_to_kron_formula(self):
+        modes = time_dep_toy(a=0.05, c1=0.1, omega1=2.0, b1=0.3).extras["modes"]
+        rng = np.random.default_rng(4)
+        for t in (0.0, 0.7, 3.1):
+            x = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+            out = modes.f0_static + modes.f1_static @ x + modes.f2 @ np.kron(x, x)
+            for omega, f0_j, f1_j in modes.terms:
+                out = out + np.exp(1j * omega * t) * (f0_j + f1_j @ x)
+            assert modes.rhs(t, x).tobytes() == out.tobytes()
+
+
 class TestConservativeErrorBound:
     def _cert(self):
         fx = conservative_toy(a=0.01, b=0.01, x1=0.5, x2=0.0)

@@ -2,7 +2,7 @@
 
 Each demo runs as a separate process with ``src`` prepended to
 PYTHONPATH, so the package need not be installed.  Demo 01 (the
-stable-oscillator region scan) takes about 16 s on a 2-core machine and
+stable-oscillator region scan) takes about 5 s on a 2-core machine and
 is left out; the others take under 2 s each.
 """
 

@@ -245,3 +245,98 @@ def test_generalized_log_norm_matches_plain_under_scaled_identity(c, seed):
     assert linalg.generalized_log_norm(m, c * np.eye(2)) == pytest.approx(
         plain, abs=1e-10 * max(1.0, abs(plain))
     )
+
+
+# bounded so that no product overflows; signed zeros stay in
+_entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _complex_array(shape):
+    return st.lists(
+        _entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+    ).map(lambda xs: np.array(xs, dtype=complex).reshape(shape))
+
+
+_sizes = st.integers(min_value=1, max_value=5)
+
+
+class TestKernels:
+    """The broadcast Kronecker kernels and spectral_norm against the numpy oracle, bit for bit."""
+
+    def test_kron_pair_at_n1(self):
+        # y[:, None] * y rounds this product without FMA, np.kron with it
+        y = np.array([94906267.0 + 16160.0j])
+        assert _bitwise_equal(linalg.kron_pair(y), np.kron(y, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=_sizes)
+    def test_kron_pair(self, data, n):
+        y = data.draw(_complex_array((2 * n,)))
+        for v in (y[:n], y[::2]):  # contiguous and strided
+            assert _bitwise_equal(linalg.kron_pair(v), np.kron(v, v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=_sizes)
+    def test_kron_square(self, data, n):
+        m = data.draw(_complex_array((n, n)))
+        for a in (m, np.asfortranarray(m), m.T):
+            assert _bitwise_equal(linalg.kron_square(a), np.kron(a, a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=_sizes, cols=_sizes, rows2=_sizes, cols2=_sizes)
+    def test_kron2(self, data, rows, cols, rows2, cols2):
+        a = data.draw(_complex_array((rows, cols)))
+        b = data.draw(_complex_array((rows2, cols2)))
+        assert _bitwise_equal(linalg.kron2(a, b), np.kron(a, b))
+        assert _bitwise_equal(linalg.kron2(a[:, 0], b[0]), np.kron(a[:, 0], b[0]))
+        # a real identity factor, as in the polynomial lift
+        eye = np.eye(rows2)
+        assert _bitwise_equal(linalg.kron2(a, eye), np.kron(a, eye))
+        assert _bitwise_equal(linalg.kron2(eye, a), np.kron(eye, a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=_sizes, cols=_sizes)
+    def test_spectral_norm(self, data, rows, cols):
+        m = data.draw(_complex_array((rows, cols)))
+        assert linalg.spectral_norm(m) == np.linalg.norm(m, 2)
+
+
+class TestHermitianShortcut:
+    @staticmethod
+    def count_svds(monkeypatch):
+        calls = []
+        real = linalg.spectral_norm
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counting)
+        return calls
+
+    def test_exactly_hermitian_weight_skips_the_defect_svds(self, monkeypatch):
+        calls = self.count_svds(monkeypatch)
+        p = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+        root, inv_root = linalg._pd_sqrt_factors(p)
+        assert calls == []
+        assert np.allclose(root @ root, p, atol=1e-14)
+        assert np.allclose(root @ inv_root, np.eye(2), atol=1e-14)
+
+    def test_roundoff_defect_takes_the_svd_path_and_passes(self, monkeypatch):
+        calls = self.count_svds(monkeypatch)
+        p = np.array([[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+        linalg._pd_sqrt_factors(p)
+        assert len(calls) == 2
+
+    def test_defect_of_1e9_relative_is_refused(self):
+        p = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
+        p[0, 1] += 1e-9 * np.linalg.norm(p, 2)
+        assert np.linalg.norm(p - p.conj().T, 2) == pytest.approx(
+            1e-9 * np.linalg.norm(p, 2), rel=1e-3
+        )
+        with pytest.raises(NotPositiveDefiniteError, match="not Hermitian"):
+            linalg._pd_sqrt_factors(p)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carleman_lab import linalg
+from carleman_lab import linalg, stability
 from carleman_lab.carleman import error_profile
 from carleman_lab.errors import (
     NonDiagonalizableError,
     UncertifiedError,
     ZeroInitialStateError,
 )
-from carleman_lab.fixtures import damped_oscillator
+from carleman_lab.fixtures import damped_oscillator, fixture
 from carleman_lab.stability import (
     StabilityCertificate,
     optimize_rp,
@@ -135,6 +137,124 @@ class TestRP:
         assert rp_condition_number_bound(sys, x0, kappa, mu_p) >= r_p(sys, x0, p) - 1e-12
 
 
+def r_p_weighted_system(sys, x0, p):
+    """Oracle: R_P as R_mu of the P^{1/2}-weighted QuadraticSystem, built with np.kron."""
+    v = stability._check_x0(x0)
+    root, inv_root = linalg._pd_sqrt_factors(p)
+    weighted = QuadraticSystem(
+        f0=root @ sys.f0,
+        f1=root @ sys.f1 @ inv_root,
+        f2=root @ sys.f2 @ np.kron(inv_root, inv_root),
+    )
+    return r_mu(weighted, root @ v)
+
+
+def outcome(f, *args):
+    """The value, or the type and message of the exception, of f(*args)."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+class TestRPAgainstWeightedSystem:
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        calls = []
+        real = stability.r_p
+
+        def recording(sys, x0, p):
+            calls.append((sys, np.array(x0), np.array(p)))
+            return real(sys, x0, p)
+
+        monkeypatch.setattr(stability, "r_p", recording)
+        return calls
+
+    # the benchmark's certify fixtures; only the stable ones reach the search
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("scalar", {"a": -1.0, "b": 0.1}),
+            ("damped_oscillator", {"r": 1.6, "n": 0.22}),
+            ("damped_oscillator", {"r": 1.0, "n": 0.5}),
+            ("oscillating_toy", {"omega": 2.0, "a": 0.02}),
+            ("time_dep_toy", {"a": 0.05, "c1": 0.1}),
+            ("conservative_toy", {"a": 0.2, "b": 0.05}),
+            ("oscillator_network", {"w": 0.05, "n": 3}),
+        ],
+    )
+    def test_bitwise_on_every_witness_of_a_certify_search(self, monkeypatch, name, params):
+        fx = fixture(name, **params)
+        calls = self.recorded_calls(monkeypatch)
+        optimize_rp(fx.system, fx.x0, budget=300)
+        monkeypatch.undo()
+        stable = linalg.spectral_abscissa(fx.system.f1) < 0
+        assert len(calls) > 10 if stable else not calls
+        for sys, x0, p in calls:
+            new, old = outcome(r_p, sys, x0, p), outcome(r_p_weighted_system, sys, x0, p)
+            assert new == old or (np.isnan(new) and np.isnan(old))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        spread=st.floats(-3.0, 3.0),
+        hermitian=st.booleans(),
+    )
+    def test_bitwise_on_random_weights(self, seed, n, spread, hermitian):
+        rng = np.random.default_rng(seed)
+        sys = random_stable_system(seed, n=n, f2_scale=0.3)
+        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ell = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        ell[np.diag_indices(n)] = 10.0 ** (spread * rng.random(n))
+        p = ell @ ell.conj().T
+        if hermitian:
+            p = (p + p.conj().T) / 2.0
+        assert outcome(r_p, sys, x0, p) == outcome(r_p_weighted_system, sys, x0, p)
+
+    @pytest.mark.parametrize(
+        "f0,f1",
+        [
+            ([0.0, 0.0], [[-1.0, 1e300], [0.0, -1.0]]),  # weighted F1 overflows
+            ([1e306, 0.0], [[-1.0, 0.0], [0.0, -1.0]]),  # weighted F0 overflows
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_non_finite_weighted_system_is_rejected(self, f0, f1):
+        sys = QuadraticSystem(f0=f0, f1=f1, f2=np.zeros((2, 4)))
+        p = np.diag([1e10, 1e-10])
+        x0 = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            r_p(sys, x0, p)
+        assert outcome(r_p, sys, x0, p) == outcome(r_p_weighted_system, sys, x0, p)
+
+    @pytest.mark.parametrize("sys", [damped_oscillator(r=1.5, n=0.1).system,
+                                     random_stable_system(11, n=3, f2_scale=0.02)])
+    def test_every_objective_evaluation_goes_through_r_p(self, monkeypatch, sys):
+        # the benchmark's stability.r_p span wraps the module attribute; an
+        # objective that computed R_P another way would drop out of it
+        x0 = np.full(sys.n, 0.5)
+        calls = self.recorded_calls(monkeypatch)
+        real_minimize = stability.minimize
+        evaluations = []
+
+        def minimize(fun, x, **kwargs):
+            def counted(z):
+                before = len(calls)
+                value = fun(z)
+                inside = sys.n > 2 or np.sum(z * z) < 1.0 - 1e-12
+                evaluations.append((inside, len(calls) - before))
+                return value
+
+            return real_minimize(counted, x, **kwargs)
+
+        monkeypatch.setattr(stability, "minimize", minimize)
+        optimize_rp(sys, x0, budget=200)
+        assert len(evaluations) > 50
+        assert all(made == int(inside) for inside, made in evaluations)
+        assert sum(inside for inside, _ in evaluations) > 50
+
+
 class TestXiBound:
     def test_pure_linear(self):
         sys = QuadraticSystem(f0=np.zeros(2), f1=-np.eye(2), f2=np.zeros((2, 4)))
@@ -204,11 +324,17 @@ class TestOptimizeRP:
             calls.append(p)
             return real(p)
 
+        def recomputed(_m):
+            raise AssertionError("alpha and mu come from optimize_rp")
+
         for module in (linalg, stability):
             monkeypatch.setattr(module, "_pd_sqrt_factors", counting)
+        monkeypatch.setattr(stability, "spectral_abscissa", recomputed)
+        monkeypatch.setattr(stability, "log_norm", recomputed)
         sys, x0, p = fx.system, fx.x0, cert.p
-        again = stability._certificate_from_p(sys, x0, p, cert.value)
+        again = stability._certificate_from_p(sys, x0, p, cert.value, cert.alpha, cert.mu)
         assert len(calls) == 1
+        assert (again.alpha, again.mu) == (cert.alpha, cert.mu)
         # bitwise the values the per-quantity weighted norms give
         mu_p = linalg.generalized_log_norm(sys.f1, p)
         norms = linalg.p_norms(x0, sys.f2, sys.f0, p)

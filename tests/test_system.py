@@ -184,6 +184,33 @@ class TestIntegrateReference:
             integrate_reference(random_system(5), np.zeros(2), [1.0, 2.0])
 
 
+def kron_field(sys):
+    """Oracle: the vector field as a closure over np.kron."""
+    return lambda _t, y: sys.f0 + sys.f1 @ y + sys.f2 @ np.kron(y, y)
+
+
+class TestVectorField:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    def test_bitwise_equal_to_kron_closure(self, seed, n):
+        rng = np.random.default_rng(seed)
+        sys = random_system(seed, n=n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert sys.vector_field(y).tobytes() == kron_field(sys)(0.0, y).tobytes()
+        assert rhs(sys, y).tobytes() == kron_field(sys)(0.0, y).tobytes()
+
+    @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 3)])
+    def test_reference_solve_bitwise_equal_to_kron_closure(self, seed, n):
+        from carleman_lab.system import _dormand_prince
+
+        sys = random_system(seed, n=n, f2_scale=0.3)
+        x0 = np.full(n, 0.4 + 0.1j)
+        times = np.linspace(0.0, 3.0, 31)
+        traj = integrate_reference(sys, x0, times)
+        oracle = _dormand_prince(kron_field(sys), x0, times, 1e-12, 1e-12)
+        assert traj.states.tobytes() == oracle.states.tobytes()
+
+
 class TestSolverPerCaller:
     """The reference oracles stay on RK45; the supremum solve uses DOP853."""
 
