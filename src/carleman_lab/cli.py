@@ -360,31 +360,21 @@ def cmd_diagonalize(args) -> int:
         "blocks": {},
         "inverse_blocks": {},
     }
-    bounds_ok = True
     try:
         delta = nonresonant.delta_gap_poincare(diag.eigenvalues)
-        report = nonresonant.norm_bounds_check(diag, delta)
+    except (NotPoincareError, ResonanceFoundError, CapExceededError):
+        delta = None
+    report = nonresonant.norm_bounds_check(diag, delta)
+    if delta is not None:
         dump["delta"] = delta
         dump["sparsity"] = report["sparsity"]
-        for row in report["rows"]:
-            key = f"{row['i']},{row['j']}"
-            target = dump["blocks"] if row["family"] == "v" else dump["inverse_blocks"]
-            target[key] = {"norm": row["norm"], "bound": row["bound"]}
-        bounds_ok = report["all_ok"]
-    except (NotPoincareError, ResonanceFoundError, CapExceededError):
-        for (i, j), block in sorted(diag.v_blocks.items()):
-            dump["blocks"][f"{i},{j}"] = {
-                "norm": nonresonant.block_norm(block),
-                "bound": None,
-            }
-        for (i, j), block in sorted(diag.vinv_blocks.items()):
-            dump["inverse_blocks"][f"{i},{j}"] = {
-                "norm": nonresonant.block_norm(block),
-                "bound": None,
-            }
+    for row in report["rows"]:
+        key = f"{row['i']},{row['j']}"
+        target = dump["blocks"] if row["family"] == "v" else dump["inverse_blocks"]
+        target[key] = {"norm": row["norm"], "bound": row["bound"]}
     _pick_format(args, "json", ("json",))
     _write(json.dumps(dump, sort_keys=True, indent=2) + "\n", args.out)
-    ok = diag.residual <= 1e-9 and diag.inverse_residual <= 1e-9 and bounds_ok
+    ok = diag.residual <= 1e-9 and diag.inverse_residual <= 1e-9 and report["all_ok"]
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -5,7 +5,9 @@ the terms of the Carleman diagonalizing blocks; ordered lists of them
 ("forests") with i trees and j total leaves index the (i, j) blocks.
 The same trees appear as fusion paths when bounding lift errors for
 gap-certified systems, which is where the Catalan convolution identities
-checked here come from.
+checked here come from.  The blocks themselves are built without
+enumerating trees (see :mod:`carleman_lab.nonresonant`); this module
+backs the ``combinatorics`` subcommand.
 
 Trees are nested tuples: ``()`` is the single-leaf tree and
 ``(left, right)`` an internal node.  Everything is exact: enumeration is
@@ -139,87 +141,3 @@ def fusion_sum(j: int, k: int) -> Fraction:
 def forest_count_bound(i: int, j: int) -> int:
     """The coarse bound 4^(j-i) C(j-1, i-1) on |T^i_j|."""
     return 4 ** (j - i) * comb(j - 1, i - 1)
-
-
-# ---------------------------------------------------------------------------
-# Structural views used by the diagonalization blocks
-
-
-class TreeStructure:
-    """Indexing view of one tree shape: nodes, leaves, topological orders.
-
-    Nodes are integers in deposit order (root first, pre-order);
-    ``leaves`` lists leaf nodes left to right.  ``order_frontiers``
-    precomputes, for every topological order of the internal nodes, the
-    frontier C(S) of each prefix S (children of S not in S); these are the
-    label sets whose eigenvalue sums appear in the inverse-block weights.
-    """
-
-    def __init__(self, tree):
-        self.tree = tree
-        self.children: dict[int, tuple[int, int]] = {}
-        self.leaves: list[int] = []
-        counter = itertools.count()
-
-        # pre-order with ids assigned before descending keeps the root at 0
-        def build_preorder(t) -> int:
-            node = next(counter)
-            if t == LEAF:
-                self.leaves.append(node)
-                return node
-            self.children[node] = (None, None)  # placeholder
-            left = build_preorder(t[0])
-            right = build_preorder(t[1])
-            self.children[node] = (left, right)
-            return node
-
-        build_preorder(tree)
-        self.n_nodes = len(self.leaves) + len(self.children)
-        self.root = 0
-        self.internal = sorted(self.children)
-        self.leaf_descendants: dict[int, list[int]] = {}
-        for v in self.internal:
-            self.leaf_descendants[v] = self._collect_leaves(v)
-
-    def _collect_leaves(self, v: int) -> list[int]:
-        if v not in self.children:
-            return [v]
-        left, right = self.children[v]
-        return self._collect_leaves(left) + self._collect_leaves(right)
-
-    def topological_orders(self) -> list[tuple[int, ...]]:
-        """All linear orders of internal nodes respecting ancestry."""
-        children = self.children
-        internal = set(self.internal)
-
-        def extend(placed: tuple, available: set) -> list:
-            if not available:
-                return [placed]
-            out = []
-            for v in sorted(available):
-                nxt = set(available)
-                nxt.remove(v)
-                for c in children[v]:
-                    if c in internal:
-                        nxt.add(c)
-                out.extend(extend(placed + (v,), nxt))
-            return out
-
-        if not internal:
-            return [()]
-        return extend((), {self.root})
-
-    def order_frontiers(self) -> list[list[tuple[int, ...]]]:
-        """For each topological order, the frontier node tuple of each prefix."""
-        out = []
-        for order in self.topological_orders():
-            frontiers = []
-            placed: set[int] = set()
-            frontier: set[int] = set()
-            for v in order:
-                placed.add(v)
-                frontier.discard(v)
-                frontier.update(self.children[v])
-                frontiers.append(tuple(sorted(frontier)))
-            out.append(frontiers)
-        return out

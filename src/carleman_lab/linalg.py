@@ -239,18 +239,6 @@ def p_vector_norm(x, p) -> float:
     return float(np.linalg.norm(root @ v))
 
 
-def p_quadratic_operator_norm(f2, p) -> float:
-    """Weighted operator norm || P^{1/2} F2 (P^{-1/2} (x) P^{-1/2}) ||."""
-    a = as_cmatrix(f2)
-    root, inv_root = _pd_sqrt_factors(p)
-    n = root.shape[0]
-    if a.shape != (n, n * n):
-        raise NotPositiveDefiniteError(
-            f"quadratic map shape {a.shape} incompatible with weight dim {n}"
-        )
-    return float(spectral_norm(root @ a @ kron_square(inv_root)))
-
-
 def p_norms(x, f2, f0, p) -> dict:
     """All three weighted norms entering the Lyapunov R-number at once."""
     from .errors import DimensionMismatchError

@@ -46,7 +46,6 @@ from carleman_lab.forests import (
 )
 from carleman_lab.nonresonant import (
     build_v_blocks,
-    _vinv_blocks_by_forest,
     build_vinv_blocks,
     certify_poincare,
     delta_gap_poincare,
@@ -60,6 +59,7 @@ from carleman_lab.system import (
     integrate_reference,
     rescale,
 )
+from forest_oracle import vinv_blocks_by_forest
 
 
 def report(number, name):
@@ -135,7 +135,7 @@ def test_criterion_04_diagonalization_correctness():
         diag = diagonalize_carleman(sys, k)
         assert diag.residual <= 1e-9
         assert diag.inverse_residual <= 1e-9
-        forest = _vinv_blocks_by_forest(diag.eigenvalues, diag.f2_tilde, k)
+        forest = vinv_blocks_by_forest(diag.eigenvalues, diag.f2_tilde, k)
         assert sorted(forest) == sorted(diag.vinv_blocks)
         for key, block in diag.vinv_blocks.items():
             scale = max(np.abs(forest[key]).max(), 1.0)

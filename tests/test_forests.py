@@ -5,7 +5,6 @@ import pytest
 from carleman_lab.errors import CapExceededError
 from carleman_lab.forests import (
     LEAF,
-    TreeStructure,
     catalan,
     catalan_convolution,
     count_forests,
@@ -16,6 +15,7 @@ from carleman_lab.forests import (
     fusion_sum,
     leaf_count,
 )
+from forest_oracle import TreeStructure
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 

@@ -24,7 +24,6 @@ from carleman_lab.nonresonant import (
     build_v_blocks,
     build_vinv_blocks,
     _blockwise_residuals,
-    _vinv_blocks_by_forest,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
@@ -47,6 +46,11 @@ from carleman_lab.system import (
     QuadraticSystem,
     integrate_nonautonomous,
     integrate_reference,
+)
+from forest_oracle import (
+    v_blocks_by_composition,
+    vinv_blocks_by_composition,
+    vinv_blocks_by_forest,
 )
 
 
@@ -185,6 +189,26 @@ class TestVBlocks:
                 scale = max(np.abs(rhs).max(), 1.0)
                 assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("n,k", [(1, 10), (2, 6), (3, 5), (4, 3)])
+    def test_match_composition_oracle(self, n, k):
+        rng = np.random.default_rng(7 + 10 * n + k)
+        lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+        # the first row of V^-1 sums terms up to 511 times its size at n=1,
+        # j=10, where both routes lie 4e-13 and 6e-13 from a 60-digit value
+        for build, oracle, rtol in (
+            (build_v_blocks, v_blocks_by_composition, 1e-13),
+            (build_vinv_blocks, vinv_blocks_by_composition, 1e-12),
+        ):
+            blocks = build(lams, f2t, k)
+            expected = oracle(lams, f2t, k)
+            assert list(blocks) == sorted(expected)
+            for (i, j), block in expected.items():
+                if i == j:
+                    assert np.array_equal(blocks[(i, j)], np.eye(n**i)), (i, j)
+                scale = np.abs(block).max()
+                assert np.abs(blocks[(i, j)] - block).max() <= rtol * scale, (i, j)
+
 
 def _paper_vinv_13(lams, f2t):
     """Explicit five-index double sum for the (1, 3) inverse block."""
@@ -283,14 +307,14 @@ class TestVInverseBlocks:
     def test_explicit_13_formula(self):
         lams, f2t = self._data(2)
         oracle = _paper_vinv_13(lams, f2t)
-        for build in (build_vinv_blocks, _vinv_blocks_by_forest):
+        for build in (build_vinv_blocks, vinv_blocks_by_forest):
             w = build(lams, f2t, 3)
             assert np.abs(w[(1, 3)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_explicit_24_five_forest_formula(self):
         lams, f2t = self._data(3)
         oracle = _paper_vinv_24(lams, f2t)
-        for build in (build_vinv_blocks, _vinv_blocks_by_forest):
+        for build in (build_vinv_blocks, vinv_blocks_by_forest):
             w = build(lams, f2t, 4)
             assert np.abs(w[(2, 4)] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -301,7 +325,7 @@ class TestVInverseBlocks:
             lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
             f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
             w = build_vinv_blocks(lams, f2t, k)
-            oracle = _vinv_blocks_by_forest(lams, f2t, k)
+            oracle = vinv_blocks_by_forest(lams, f2t, k)
             assert sorted(w) == sorted(oracle)
             for key, block in oracle.items():
                 scale = np.abs(block).max()
@@ -569,6 +593,8 @@ class TestBlockNorm:
                 row = data[key][f"{i},{j}"]
                 assert row["norm"] == float(np.linalg.norm(block, 2))
                 assert (row["bound"] is None) == (domain == SIEGEL)
+        # without a no-resonance gap the file has no gap-derived fields
+        assert ("delta" in data and "sparsity" in data) == (domain != SIEGEL)
 
 
 class TestRBigDelta:
