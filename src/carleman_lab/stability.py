@@ -144,39 +144,111 @@ class StabilityCertificate:
 
 
 def _bloch_matrices(res: int) -> np.ndarray:
-    """Unit-trace positive 2x2 matrices on an interior grid of the ball."""
+    """Bloch vectors (g x 3) of unit-trace positive 2x2 weights on an interior grid of the ball."""
     axis = np.linspace(-1.0, 1.0, res + 2)[1:-1]
     rx, ry, rz = np.meshgrid(axis, axis, axis, indexing="ij")
     r = np.stack([rx.ravel(), ry.ravel(), rz.ravel()], axis=1)
-    r = r[np.sum(r * r, axis=1) < 1.0 - 1e-12]
-    g = r.shape[0]
-    p = np.empty((g, 2, 2), dtype=complex)
-    p[:, 0, 0] = (1.0 + r[:, 2]) / 2.0
-    p[:, 1, 1] = (1.0 - r[:, 2]) / 2.0
-    p[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
-    p[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
-    return p
+    return r[np.sum(r * r, axis=1) < 1.0 - 1e-12]
 
 
-def _batched_rp(sys: QuadraticSystem, x0: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Vectorized R_P over a stack of 2x2 weights; +inf where infeasible."""
-    evals, vecs = np.linalg.eigh(ps)
-    good = evals[:, 0] > 1e-14
-    sq = np.einsum("gij,gj,gkj->gik", vecs, np.sqrt(np.maximum(evals, 1e-300)), vecs.conj())
-    isq = np.einsum(
-        "gij,gj,gkj->gik", vecs, 1.0 / np.sqrt(np.maximum(evals, 1e-300)), vecs.conj()
-    )
-    s = sq @ sys.f1 @ isq
-    mu = np.linalg.eigvalsh((s + s.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
-    kron_isq = np.einsum("gij,gkl->gikjl", isq, isq).reshape(-1, 4, 4)
-    f2w = sq @ sys.f2 @ kron_isq
-    f2n = np.linalg.svd(f2w, compute_uv=False)[:, 0]
-    x0n = np.sqrt(np.einsum("i,gij,j->g", x0.conj(), ps, x0).real)
-    f0n = np.sqrt(np.einsum("i,gij,j->g", sys.f0.conj(), ps, sys.f0).real)
-    vals = np.full(ps.shape[0], np.inf)
-    ok = good & (mu < 0) & (x0n > 0)
-    vals[ok] = (f2n[ok] * x0n[ok] + f0n[ok] / x0n[ok]) / (-mu[ok])
-    return vals
+def _bloch_weight(r):
+    """Entries (a, b, d) of the unit-trace weight P = [[a, b], [b*, d]] with Bloch vector r.
+
+    ``r`` unpacks into its three components: a length-3 sequence, or the
+    transpose of a g x 3 stack of Bloch vectors.
+    """
+    rx, ry, rz = r
+    return (1.0 + rz) / 2.0, (rx - 1j * ry) / 2.0, (1.0 - rz) / 2.0
+
+
+def _abs2(z):
+    """|z|^2 from arithmetic alone."""
+    return (z * z.conjugate()).real
+
+
+def _top_eigenvalue(h11, h22, h12):
+    """Largest eigenvalue of the Hermitian [[h11, h12], [h12*, h22]].
+
+    The sum-of-squares form keeps full relative accuracy when the two
+    eigenvalues are close, where the trace/determinant form cancels to
+    about sqrt(eps).
+    """
+    half_gap = (h11 - h22) / 2.0
+    return (h11 + h22) / 2.0 + (half_gap * half_gap + _abs2(h12)) ** 0.5
+
+
+def _all_finite(*zs) -> bool:
+    """Whether every scalar z is finite: z - z is exactly 0 for finite z and NaN otherwise."""
+    return sum(z - z for z in zs) == 0
+
+
+def _planar_rp(sys: QuadraticSystem, x0: np.ndarray, a, b, d):
+    """R_P for a two-dimensional system at the weight P = [[a, b], [b*, d]], in closed form.
+
+    Uses the upper Cholesky factor C = [[sqrt(a), b/sqrt(a)], [0, sqrt(det/a)]]
+    of P in place of P^{1/2}; the two differ by a unitary factor, which
+    leaves mu_P, ||F2||_P, ||F0||_P and ||x||_P unchanged.  The body is
+    arithmetic only, so it runs on Python scalars (one witness) and on
+    numpy arrays (a grid of witnesses) alike.  A scalar witness has the
+    outcomes of :func:`r_p`: NotPositiveDefiniteError for a <= 0 or
+    det <= 0, ValueError for a non-finite weighted coefficient, +inf when
+    mu_P >= 0.  On arrays those witnesses score +inf.
+    """
+    scalar = not isinstance(a, np.ndarray)
+    a, d = a.real, d.real
+    det = a * d - _abs2(b)
+    if scalar and not (a > 0 and det > 0):
+        raise NotPositiveDefiniteError("weight matrix is not positive definite")
+    (e1, e2), ((f11, f12), (f21, f22)) = sys.f0.tolist(), sys.f1.tolist()
+    (x1, x2), f2_rows = x0.tolist(), sys.f2.tolist()
+    # C = [[s, q], [0, t]] and C^{-1} = [[1/s, v], [0, 1/t]]
+    s = a**0.5
+    t = (det / a) ** 0.5
+    q = b / s
+    inv_s, v, inv_t = 1.0 / s, -q / (s * t), 1.0 / t
+    c0, c1 = s * e1 + q * e2, t * e2
+    # G = C F1 C^{-1}; mu_P is the top eigenvalue of its Hermitian part
+    g11 = f11 + q * f21 * inv_s
+    g12 = (s * f11 + q * f21) * v + (s * f12 + q * f22) * inv_t
+    g21 = t * f21 * inv_s
+    g22 = f22 + t * f21 * v
+    # W = C F2 (C^{-1} (x) C^{-1}) from E_i = C^{-T} M_i C^{-1}, where row i
+    # of F2 is M_i = [[m00, m01], [m10, m11]] read row-major
+    e_rows = []
+    for m00, m01, m10, m11 in f2_rows:
+        k0, k1 = m00 * v + m01 * inv_t, m10 * v + m11 * inv_t
+        e_rows.append(
+            (inv_s * inv_s * m00, inv_s * k0, inv_s * (v * m00 + inv_t * m10), v * k0 + inv_t * k1)
+        )
+    w_top = [s * e0 + q * e1 for e0, e1 in zip(*e_rows)]
+    w_bottom = [t * e1 for e1 in e_rows[1]]
+    y1, y2 = s * x1 + q * x2, t * x2
+    if scalar:
+        # the checks and messages of r_p's weighted coefficients, in its order
+        if not _all_finite(c0, c1):
+            raise ValueError("vector contains non-finite entries")
+        if not _all_finite(g11, g12, g21, g22, *w_top, *w_bottom):
+            raise ValueError("matrix contains non-finite entries")
+        if not _all_finite(y1, y2):
+            raise ValueError("vector contains non-finite entries")
+    mu = _top_eigenvalue(g11.real, g22.real, (g12 + g21.conjugate()) / 2.0)
+    f2_norm = _top_eigenvalue(
+        sum(map(_abs2, w_top)),
+        sum(map(_abs2, w_bottom)),
+        sum(z0 * z1.conjugate() for z0, z1 in zip(w_top, w_bottom)),
+    ) ** 0.5
+    f0_norm = (_abs2(c0) + _abs2(c1)) ** 0.5
+    y_norm = (_abs2(y1) + _abs2(y2)) ** 0.5
+    if scalar and y_norm == 0:
+        raise ZeroInitialStateError("R-numbers are undefined for x(0) = 0")
+    numerator = f2_norm * y_norm + f0_norm / y_norm
+    if scalar:
+        return np.inf if mu >= 0 else float(numerator / (-mu))
+    # mu_P >= 0, or NaN from a weight that is not positive definite
+    ok = mu < 0
+    value = np.full(ok.shape, np.inf)
+    value[ok] = numerator[ok] / (-mu[ok])
+    return value
 
 
 def _gamma_search(mu_p: float, norms: dict):
@@ -303,7 +375,8 @@ def optimize_rp(
 
     For two-dimensional systems the unit-trace witnesses form a ball
     (three real parameters) which is scanned on a coarse grid and then
-    polished with Nelder-Mead; in higher dimension the search runs over
+    polished with Nelder-Mead, both scored by the closed-form
+    :func:`_planar_rp`; in higher dimension the search runs over
     Cholesky factors from Lyapunov-solution and eigenbasis seeds.  The
     identity and eigenbasis weights are always evaluated, so the result
     never loses to R_mu or R_alpha.
@@ -344,28 +417,27 @@ def optimize_rp(
 
     if n == 2:
         grid = _bloch_matrices(bloch_resolution)
-        vals = _batched_rp(sys, v, grid)
+        vals = _planar_rp(sys, v, *_bloch_weight(grid.T))
         idx = int(np.argmin(vals))
+        best_r = None
         if vals[idx] < best_val:
-            best_val, best_p = float(vals[idx]), grid[idx]
+            best_val, best_r = float(vals[idx]), grid[idx]
 
         def objective(r3):
-            if np.sum(r3 * r3) >= 1.0 - 1e-12:
-                return 1e12 * (1.0 + np.sum(r3 * r3))
-            p = np.array(
-                [
-                    [(1.0 + r3[2]) / 2.0, (r3[0] - 1j * r3[1]) / 2.0],
-                    [(r3[0] + 1j * r3[1]) / 2.0, (1.0 - r3[2]) / 2.0],
-                ]
-            )
+            rx, ry, rz = r3.tolist()
+            rr = rx * rx + ry * ry + rz * rz
+            if rr >= 1.0 - 1e-12:
+                return 1e12 * (1.0 + rr)
             try:
-                val = r_p(sys, v, p)
+                val = _planar_rp(sys, v, *_bloch_weight((rx, ry, rz)))
             except NotPositiveDefiniteError:
                 return 1e12
             return val if np.isfinite(val) else 1e12
 
         starts = []
-        if best_p is not None and best_p.shape == (2, 2):
+        if best_r is not None:
+            starts.append(best_r)
+        elif best_p is not None:
             pn = best_p / np.trace(best_p).real
             starts.append(
                 np.array(
@@ -385,14 +457,10 @@ def optimize_rp(
                 options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-12},
             )
             if res.fun < best_val:
-                r3 = res.x
-                best_val = float(res.fun)
-                best_p = np.array(
-                    [
-                        [(1.0 + r3[2]) / 2.0, (r3[0] - 1j * r3[1]) / 2.0],
-                        [(r3[0] + 1j * r3[1]) / 2.0, (1.0 - r3[2]) / 2.0],
-                    ]
-                )
+                best_val, best_r = float(res.fun), res.x
+        if best_r is not None:
+            a, b, d = _bloch_weight(best_r.tolist())
+            best_p = np.array([[a, b], [b.conjugate(), d]])
     else:
 
         def objective(theta):

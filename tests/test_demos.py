@@ -1,9 +1,8 @@
 """Smoke test: the demo scripts run to completion and print something.
 
 Each demo runs as a separate process with ``src`` prepended to
-PYTHONPATH, so the package need not be installed.  Demo 01 (the
-stable-oscillator region scan) takes about 5 s on a 2-core machine and
-is left out; the others take under 2 s each.
+PYTHONPATH, so the package need not be installed.  Each takes about
+2 s or less on a 2-core machine.
 """
 
 import os
@@ -15,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
+    "01_stable_oscillator_regions.py",
     "02_truncation_error_sweep.py",
     "03_conservative_toy.py",
     "04_forest_diagonalization.py",

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from carleman_lab import linalg, stability
 from carleman_lab.carleman import error_profile
 from carleman_lab.errors import (
     NonDiagonalizableError,
+    NotPositiveDefiniteError,
     UncertifiedError,
     ZeroInitialStateError,
 )
@@ -157,6 +161,37 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+# _planar_rp and r_p factor P differently (Cholesky against the Hermitian
+# square root), so they agree to roundoff, not bitwise.  Both round mu_P
+# at about eps sqrt(kappa(P)) ||F1||; over 4 000 random weights with
+# kappa(P) up to 1e6 (1 065 of them with mu_P < 0) the largest relative
+# gap was 6.9e-15 times 1 + sqrt(kappa(P)) ||F1|| / |mu_P|.
+PLANAR_RTOL = 1e-13
+
+
+def weight(a, b, d):
+    return np.array([[a, b], [np.conj(b), d]], dtype=complex)
+
+
+def assert_planar_close(sys, p, value, ref):
+    """Two R_P evaluations at the weight p agree up to the roundoff of mu_P."""
+    if value == ref:
+        return
+    mu_p = linalg.generalized_log_norm(sys.f1, p)
+    slack = PLANAR_RTOL * np.sqrt(np.linalg.cond(p)) * np.linalg.norm(sys.f1, 2)
+    if abs(mu_p) <= slack:  # the sign of mu_P is below roundoff: inf or finite
+        return
+    assert abs(value - ref) <= (PLANAR_RTOL + slack / abs(mu_p)) * abs(ref), (value, ref, mu_p)
+
+
+def assert_planar_matches_r_p(sys, x0, a, b, d, value):
+    """``value`` of _planar_rp at [[a, b], [b*, d]] (scalars or a grid) matches r_p."""
+    points = np.broadcast_arrays(a, b, d, value)
+    for a_i, b_i, d_i, v_i in zip(*(np.ravel(z).tolist() for z in points)):
+        p = weight(a_i, b_i, d_i)
+        assert_planar_close(sys, p, v_i, r_p(sys, x0, p))
+
+
 class TestRPAgainstWeightedSystem:
     @staticmethod
     def recorded_calls(monkeypatch):
@@ -168,6 +203,20 @@ class TestRPAgainstWeightedSystem:
             return real(sys, x0, p)
 
         monkeypatch.setattr(stability, "r_p", recording)
+        return calls
+
+    @staticmethod
+    def recorded_planar_calls(monkeypatch):
+        """Every (sys, x0, a, b, d, value) of the closed-form n = 2 kernel."""
+        calls = []
+        real = stability._planar_rp
+
+        def recording(sys, x0, a, b, d):
+            value = real(sys, x0, a, b, d)
+            calls.append((sys, np.array(x0), a, b, d, value))
+            return value
+
+        monkeypatch.setattr(stability, "_planar_rp", recording)
         return calls
 
     # the benchmark's certify fixtures; only the stable ones reach the search
@@ -184,15 +233,23 @@ class TestRPAgainstWeightedSystem:
         ],
     )
     def test_bitwise_on_every_witness_of_a_certify_search(self, monkeypatch, name, params):
+        # a two-dimensional search scores its grid and Nelder-Mead witnesses
+        # with _planar_rp, checked against r_p here; its seed witnesses, and
+        # every witness in other dimensions, still go through r_p
         fx = fixture(name, **params)
         calls = self.recorded_calls(monkeypatch)
+        planar = self.recorded_planar_calls(monkeypatch)
         optimize_rp(fx.system, fx.x0, budget=300)
         monkeypatch.undo()
         stable = linalg.spectral_abscissa(fx.system.f1) < 0
-        assert len(calls) > 10 if stable else not calls
+        searched = planar if fx.system.n == 2 else calls
+        assert len(searched) > 10 if stable else not (calls or planar)
+        assert fx.system.n == 2 or not planar
         for sys, x0, p in calls:
             new, old = outcome(r_p, sys, x0, p), outcome(r_p_weighted_system, sys, x0, p)
             assert new == old or (np.isnan(new) and np.isnan(old))
+        for sys, x0, a, b, d, value in planar:
+            assert_planar_matches_r_p(sys, x0, a, b, d, value)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -232,9 +289,12 @@ class TestRPAgainstWeightedSystem:
                                      random_stable_system(11, n=3, f2_scale=0.02)])
     def test_every_objective_evaluation_goes_through_r_p(self, monkeypatch, sys):
         # the benchmark's stability.r_p span wraps the module attribute; an
-        # objective that computed R_P another way would drop out of it
+        # objective that computed R_P another way would drop out of it.  At
+        # n = 2 the objective goes through _planar_rp instead, once per
+        # in-ball witness, and each witness it scores is checked against r_p.
         x0 = np.full(sys.n, 0.5)
-        calls = self.recorded_calls(monkeypatch)
+        planar = self.recorded_planar_calls(monkeypatch)
+        calls = planar if sys.n == 2 else self.recorded_calls(monkeypatch)
         real_minimize = stability.minimize
         evaluations = []
 
@@ -253,6 +313,133 @@ class TestRPAgainstWeightedSystem:
         assert len(evaluations) > 50
         assert all(made == int(inside) for inside, made in evaluations)
         assert sum(inside for inside, _ in evaluations) > 50
+        for recorded in planar:
+            assert_planar_matches_r_p(*recorded)
+
+
+def random_complex_system(seed):
+    rng = np.random.default_rng(seed)
+
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    sys = QuadraticSystem(f0=0.1 * c(2), f1=c(2, 2) - 2.5 * np.eye(2), f2=0.3 * c(2, 4))
+    return sys, c(2), rng
+
+
+def random_weights(rng, log_kappa, log_scale, count):
+    """Hermitian PD 2x2 weights with condition number 10**log_kappa, as (a, b, d) scalars."""
+    out = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        p = 10.0**log_scale * (q @ np.diag([1.0, 10.0**-log_kappa]) @ q.conj().T)
+        out.append((float(p[0, 0].real), complex(p[0, 1]), float(p[1, 1].real)))
+    return out
+
+
+class TestPlanarRP:
+    """The closed-form n = 2 kernel against r_p, its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_kappa=st.floats(0.0, 6.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_matches_r_p_on_random_weights(self, seed, log_kappa, log_scale):
+        sys, x0, rng = random_complex_system(seed)
+        ((a, b, d),) = random_weights(rng, log_kappa, log_scale, 1)
+        p = weight(a, b, d)
+        assert_planar_close(sys, p, stability._planar_rp(sys, x0, a, b, d), r_p(sys, x0, p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_kappa=st.floats(0.0, 6.0))
+    def test_scalar_and_array_evaluations_agree(self, seed, log_kappa):
+        sys, x0, rng = random_complex_system(seed)
+        witnesses = random_weights(rng, log_kappa, 0.0, 16)
+        grid = stability._planar_rp(sys, x0, *(np.array(z) for z in zip(*witnesses)))
+        assert grid.shape == (16,)
+        for (a, b, d), value in zip(witnesses, grid):
+            assert_planar_close(sys, weight(a, b, d), value, stability._planar_rp(sys, x0, a, b, d))
+
+    def test_bloch_grid_matches_r_p(self):
+        fx = damped_oscillator(r=1.6, n=0.22)
+        r = stability._bloch_matrices(9)
+        a, b, d = stability._bloch_weight(r.T)
+        values = stability._planar_rp(fx.system, fx.x0, a, b, d)
+        assert np.isinf(values).any() and np.isfinite(values).any()
+        assert_planar_matches_r_p(fx.system, fx.x0, a, b, d, values)
+
+    NOT_PD = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 2.0, 1.0), (-1.0, 0.0, -2.0),
+              (1.0, 1j, 1.0), (2.0, 1.0 - 1j, 1.0)]
+
+    @pytest.mark.parametrize("a,b,d", NOT_PD)
+    def test_not_positive_definite_weight_is_rejected(self, a, b, d):
+        sys = random_stable_system(3)
+        x0 = np.array([0.5, -0.2])
+        with pytest.raises(NotPositiveDefiniteError):
+            r_p(sys, x0, weight(a, b, d))
+        with pytest.raises(NotPositiveDefiniteError):
+            stability._planar_rp(sys, x0, a, b, d)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_not_positive_definite_grid_weights_score_inf(self):
+        sys = random_stable_system(3)
+        a, b, d = (np.array(z) for z in zip(*self.NOT_PD))
+        values = stability._planar_rp(sys, np.array([0.5, -0.2]), a.real, b, d.real)
+        assert np.all(values == np.inf)
+
+    @pytest.mark.parametrize(
+        "f0,f1",
+        [
+            ([0.0, 0.0], [[-1.0, 1e300], [0.0, -1.0]]),  # weighted F1 overflows
+            ([1e306, 0.0], [[-1.0, 0.0], [0.0, -1.0]]),  # weighted F0 overflows
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_non_finite_weighted_system_is_rejected(self, f0, f1):
+        sys = QuadraticSystem(f0=f0, f1=f1, f2=np.zeros((2, 4)))
+        x0 = np.array([0.5, 0.5])
+        new = outcome(stability._planar_rp, sys, x0, 1e10, 0j, 1e-10)
+        assert new == outcome(r_p, sys, x0, np.diag([1e10, 1e-10]))
+        assert new[0] is ValueError and "non-finite" in new[1]
+
+    @pytest.mark.parametrize(
+        "sys,a,b,d",
+        [
+            (damped_oscillator(r=1.0, n=0.5).system, 0.5, 0j, 0.5),  # mu_P = 0 exactly
+            (damped_oscillator(r=1.0, n=0.5).system, 0.9, 0.2 + 0.1j, 0.1),
+            (QuadraticSystem(f0=[0.1, 0.0], f1=np.eye(2), f2=np.ones((2, 4))), 0.5, 0.1j, 0.5),
+        ],
+    )
+    def test_nonnegative_mu_p_scores_inf(self, sys, a, b, d):
+        x0 = np.array([0.5, 0.5])
+        assert linalg.generalized_log_norm(sys.f1, weight(a, b, d)) >= 0
+        assert stability._planar_rp(sys, x0, a, b, d) == np.inf
+        assert r_p(sys, x0, weight(a, b, d)) == np.inf
+
+    def test_kernel_makes_no_lapack_call(self):
+        # the kernel and every module function it calls: no np.linalg, no
+        # scipy, and no call out of the module but to exceptions and these
+        builtins = {"isinstance", "float", "sum", "map", "zip", "abs"}
+        seen = set()
+
+        def check(func):
+            seen.add(func.__name__)
+            tree = ast.parse(inspect.getsource(func).lstrip())
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "linalg")
+                assert not (isinstance(node, ast.Name) and node.id in ("scipy", "minimize"))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    name = node.func.id
+                    if name in builtins or name in seen or name.endswith("Error"):
+                        continue
+                    callee = getattr(stability, name)
+                    assert callee.__module__ == stability.__name__, name
+                    check(callee)
+
+        check(stability._planar_rp)
+        assert {"_abs2", "_top_eigenvalue", "_all_finite"} <= seen
 
 
 class TestXiBound:
