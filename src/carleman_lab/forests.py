@@ -11,7 +11,10 @@ backs the ``combinatorics`` subcommand.
 
 Trees are nested tuples: ``()`` is the single-leaf tree and
 ``(left, right)`` an internal node.  Everything is exact: enumeration is
-duplicate-free and the fusion sums use rational arithmetic.
+duplicate-free and the fusion sums use rational arithmetic.  The fusion
+sums come from a dynamic program over excitation patterns, not from
+walking the k!/(j-1)! fusion paths; the path enumerator is kept as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -104,38 +107,30 @@ def catalan_convolution(j: int, k: int) -> int:
     return int(value)
 
 
-def fusion_paths(j: int, k: int):
-    """Yield fusion paths from k+1 unexcited subsystems down to j subsystems.
-
-    A path is the tuple of fusion positions (l_k, ..., l_j); step i fuses
-    neighbors l_i and l_i+1 of the current i+1 subsystems into one
-    excited subsystem.  There are k!/(j-1)! paths.
-    """
-    if not 1 <= j <= k:
-        raise ValueError("need 1 <= j <= k")
-    ranges = [range(i) for i in range(k, j - 1, -1)]
-    yield from itertools.product(*ranges)
-
-
 def fusion_sum(j: int, k: int) -> Fraction:
     """Excitation-weighted fusion count, exactly.
 
-    Sums the product of inverse excitation counts over every fusion path
-    from k+1 subsystems to j; equals catalan_convolution(j, k-j+1).
+    Sums, over every fusion path from k+1 unexcited subsystems down to j,
+    the product of inverse excitation counts; equals
+    catalan_convolution(j, k-j+1).  A step fuses neighbors l and l+1 into
+    one excited subsystem and divides by the new number of excited
+    subsystems, so a step's weight depends on the path only through the
+    current excitation flags.  The sum is therefore a dynamic program over
+    flag tuples (at most 2^(k+1) states) in place of the k!/(j-1)! paths.
     """
     if not 1 <= j <= k:
         raise ValueError("need 1 <= j <= k")
     if k > FUSION_CAP:
-        raise CapExceededError(f"fusion-path enumeration capped at k = {FUSION_CAP}")
-    total = Fraction(0)
-    for path in fusion_paths(j, k):
-        flags = [False] * (k + 1)
-        weight = Fraction(1)
-        for l in path:
-            flags[l : l + 2] = [True]
-            weight /= sum(flags)
-        total += weight
-    return total
+        raise CapExceededError(f"fusion sums capped at k = {FUSION_CAP}")
+    weights = {(False,) * (k + 1): Fraction(1)}
+    for i in range(k, j - 1, -1):
+        fused_weights: dict[tuple, Fraction] = {}
+        for flags, weight in weights.items():
+            for l in range(i):
+                fused = flags[:l] + (True,) + flags[l + 2 :]
+                fused_weights[fused] = fused_weights.get(fused, 0) + weight / sum(fused)
+        weights = fused_weights
+    return sum(weights.values(), Fraction(0))
 
 
 def forest_count_bound(i: int, j: int) -> int:

@@ -238,7 +238,18 @@ def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
 
 
 def _compositional_inverse(v: dict, k: int) -> dict:
-    """V^{-1} blocks from the V blocks of :func:`build_v_blocks`."""
+    """V^{-1} blocks from the V blocks of :func:`build_v_blocks`.
+
+    The first-row sum G_j = -sum_{m<j} G_m V_(m,j) cancels, and each G_m
+    carries the rounding of the ones before it, so block (1, j) loses
+    relative accuracy as j grows.  On scalar systems the terms add up to
+    2^(j-1) - 1 times |G_j| (511 at j = 10).  Against a 60-digit
+    evaluation of the same recursion over 200 random scalar systems
+    (j <= 10), the relative error of block (1, j) was at most 0.26 3^j u,
+    with u = 2^-53 (worst 1.4e-12, at j = 10).  The stated bound is 3^j u
+    (6.6e-12 at j = 10); a test holds the first row of one scalar system
+    to it for every j <= 10.
+    """
     return _map_blocks(
         len(v[(1, 1)]), k, lambda j, g: -sum(g[(1, m)] @ v[(m, j)] for m in range(1, j))
     )

@@ -1,4 +1,4 @@
-"""Slow reference constructions of the diagonalizing blocks, for the tests.
+"""Slow reference constructions of the diagonalizing blocks and fusion sums, for the tests.
 
 Two oracles for :func:`carleman_lab.nonresonant.build_v_blocks` and
 :func:`carleman_lab.nonresonant.build_vinv_blocks`, both exponential in k:
@@ -10,12 +10,15 @@ Two oracles for :func:`carleman_lab.nonresonant.build_v_blocks` and
   summed over node labelings and topological orders, independent of V.
 
 :class:`TreeStructure` is the indexing view of one tree shape that the
-forest sum walks.
+forest sum walks.  :func:`fusion_sum_by_paths` is the path-enumeration
+oracle for :func:`carleman_lab.forests.fusion_sum`: it walks all
+k!/(j-1)! fusion paths.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -228,3 +231,32 @@ def vinv_blocks_by_forest(lams, f2_tilde, k: int) -> dict:
         if (j - i) % 2:
             b *= -1.0
     return blocks
+
+
+def fusion_paths(j: int, k: int):
+    """Yield fusion paths from k+1 unexcited subsystems down to j subsystems.
+
+    A path is the tuple of fusion positions (l_k, ..., l_j); step i fuses
+    neighbors l_i and l_i+1 of the current i+1 subsystems into one
+    excited subsystem.  There are k!/(j-1)! paths.
+    """
+    if not 1 <= j <= k:
+        raise ValueError("need 1 <= j <= k")
+    ranges = [range(i) for i in range(k, j - 1, -1)]
+    yield from itertools.product(*ranges)
+
+
+def fusion_sum_by_paths(j: int, k: int) -> Fraction:
+    """Path-enumeration oracle for ``fusion_sum``, exact.
+
+    Sums the product of inverse excitation counts over every fusion path.
+    """
+    total = Fraction(0)
+    for path in fusion_paths(j, k):
+        flags = [False] * (k + 1)
+        weight = Fraction(1)
+        for l in path:
+            flags[l : l + 2] = [True]
+            weight /= sum(flags)
+        total += weight
+    return total

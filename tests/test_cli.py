@@ -344,6 +344,25 @@ class TestCombinatorics:
         assert all(line.endswith("true") for line in lines[1:])
         assert "forest_count,2,4,5,5,true" in lines
 
+    def test_table_matches_path_oracle(self, tmp_path, monkeypatch):
+        from carleman_lab import cli
+        from forest_oracle import fusion_sum_by_paths
+
+        out = tmp_path / "comb.csv"
+        expected = tmp_path / "oracle.csv"
+        assert run(["combinatorics", "--max-k", "7", "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "fusion_sum", fusion_sum_by_paths)
+        assert run(["combinatorics", "--max-k", "7", "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_order_above_cap_is_refused(self, tmp_path, capsys):
+        from carleman_lab.cli import EXIT_INPUT
+
+        out = tmp_path / "comb.csv"
+        assert run(["combinatorics", "--max-k", "9", "--out", str(out)]) == EXIT_INPUT
+        assert "capped at k = 8" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSystemJson:
     def test_triplet_ingestion(self, tmp_path):

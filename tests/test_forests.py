@@ -4,6 +4,7 @@ import pytest
 
 from carleman_lab.errors import CapExceededError
 from carleman_lab.forests import (
+    FUSION_CAP,
     LEAF,
     catalan,
     catalan_convolution,
@@ -11,11 +12,10 @@ from carleman_lab.forests import (
     enumerate_forests,
     enumerate_trees,
     forest_count_bound,
-    fusion_paths,
     fusion_sum,
     leaf_count,
 )
-from forest_oracle import TreeStructure
+from forest_oracle import TreeStructure, fusion_paths, fusion_sum_by_paths
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -74,6 +74,21 @@ class TestFusionSums:
         # one fusion step from k+1 subsystems, k equally weighted choices
         for k in range(1, 9):
             assert fusion_sum(k, k) == k
+
+    def test_dp_matches_path_oracle(self):
+        for k in range(1, 8):
+            for j in range(1, k + 1):
+                assert fusion_sum(j, k) == fusion_sum_by_paths(j, k), (j, k)
+
+    def test_dp_matches_convolution_up_to_cap(self):
+        # k = FUSION_CAP is 3.6 million paths for the oracle at j = 1
+        for k in range(1, FUSION_CAP + 1):
+            for j in range(1, k + 1):
+                assert fusion_sum(j, k) == catalan_convolution(j, k - j + 1), (j, k)
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            fusion_sum(1, FUSION_CAP + 1)
 
     def test_closed_form_all_orders(self):
         import math

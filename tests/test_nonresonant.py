@@ -292,6 +292,29 @@ def _paper_vinv_24(lams, f2t):
 
 
 class TestVInverseBlocks:
+    def test_first_row_against_high_precision(self):
+        # the scalar system of test_match_composition_oracle[1-10], whose
+        # block (1, 10) sums terms 511 times its size
+        mpmath = pytest.importorskip("mpmath")
+        k = 10
+        rng = np.random.default_rng(7 + 10 * 1 + k)
+        lams = -rng.uniform(0.5, 3.0, 1) + 1j * rng.uniform(-1.0, 1.0, 1)
+        f2t = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+        blocks = build_vinv_blocks(lams, f2t, k)
+        with mpmath.workdps(60):
+            lam, f2 = mpmath.mpc(complex(lams[0])), mpmath.mpc(complex(f2t[0, 0]))
+            v = {(1, 1): mpmath.mpc(1)}
+            for j in range(2, k + 1):
+                for i in range(j, 1, -1):
+                    v[(i, j)] = sum(v[(i - 1, j - m)] * v[(1, m)] for m in range(1, j - i + 2))
+                v[(1, j)] = f2 * v[(2, j)] / ((j - 1) * lam)
+            g = {1: mpmath.mpc(1)}
+            for j in range(2, k + 1):
+                g[j] = -sum(g[m] * v[(m, j)] for m in range(1, j))
+                rel = abs(mpmath.mpc(complex(blocks[(1, j)][0, 0])) - g[j]) / abs(g[j])
+                # the bound stated in _compositional_inverse's docstring
+                assert rel <= 3**j * 2.0**-53, (j, float(rel))
+
     def _data(self, seed=1):
         rng = np.random.default_rng(seed)
         lams = np.array([-1.1 + 0.3j, -2.4 - 0.6j])
