@@ -10,6 +10,25 @@ the matrix exponential on the state (Al-Mohy & Higham, "Computing the
 action of the matrix exponential", SIAM J. Sci. Comput. 33(2), 2011)
 rather than by forming e^{At}, so every truncation-error measurement
 isolates the truncation itself rather than time-stepping error.
+
+Every shift sum maps symmetric tensors to symmetric tensors, whether or
+not F2 is symmetrized, so the lift started at x0^(j) stays on the
+symmetric subspace, of dimension C(n+j-1, j) per level.
+:func:`error_profile` and :func:`convergence_sweep` evolve it there, in
+multiset coordinates (the monomials x^alpha, |alpha| = j): the
+duplication/elimination restriction of the full generator (Magnus &
+Neudecker, "The elimination matrix", SIAM J. Alg. Disc. Meth. 1(4),
+1980), built directly by :func:`build_symmetric_lift`.
+
+    n  k   full   multiset
+    2  8    510         44
+    3  6  1 092         83
+    4  5  1 364        125
+    4  7 21 844        329
+
+The dimension cap still counts full coordinates, n + n^2 + ... + n^k.
+:func:`build_blocks` keeps the full blocks, which the diagonalization
+and the tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,6 +218,145 @@ def split_blocks(y: np.ndarray, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
+def symmetric_dimension(n: int, k: int) -> int:
+    """Lift dimension in multiset coordinates: the sum of C(n+j-1, j) over j = 1..k."""
+    return sum(math.comb(n + j - 1, j) for j in range(1, k + 1))
+
+
+def _multisets(n: int, j: int) -> np.ndarray:
+    """Level-j multisets as sorted index tuples, one per row, in
+    ``combinations_with_replacement`` order."""
+    return np.array(list(combinations_with_replacement(range(n), j)), dtype=np.int64)
+
+
+def _digits(index: np.ndarray, n: int, j: int) -> np.ndarray:
+    """The length-j index tuple of each position in a full level (base-n digits)."""
+    return index[:, None] // n ** np.arange(j - 1, -1, -1, dtype=np.int64) % n
+
+
+def _rank(tuples: np.ndarray, n: int) -> np.ndarray:
+    """Multiset coordinate within its level of each row of sorted index tuples.
+
+    A tuple's base-n value is its position in the full level, below n^j;
+    on sorted tuples it ascends in ``combinations_with_replacement`` order.
+    """
+    powers = n ** np.arange(tuples.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(_multisets(n, tuples.shape[1]) @ powers, tuples @ powers)
+
+
+@dataclass(frozen=True)
+class SymmetricLift:
+    """Generator of the order-k lift on symmetric tensors, in multiset coordinates.
+
+    Level j holds the monomials x^alpha, |alpha| = j, in
+    ``combinations_with_replacement`` order; level 1 is x itself.
+    ``matrix`` is the whole generator as one CSR.
+    """
+
+    n: int
+    k: int
+    matrix: sp.csr_array
+    drive: np.ndarray
+
+    @property
+    def total_dim(self) -> int:
+        return symmetric_dimension(self.n, self.k)
+
+    def generator(self) -> sp.csr_array:
+        return self.matrix
+
+    def truncated(self, k: int) -> SymmetricLift:
+        """The order-k lift for k <= self.k: the leading principal block."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"truncation order {k} outside 1..{self.k}")
+        dim = symmetric_dimension(self.n, k)
+        return SymmetricLift(self.n, k, self.matrix[:dim, :dim], self.drive[:dim])
+
+
+def build_symmetric_lift(
+    sys: QuadraticSystem, k: int, cap: int | None = None
+) -> SymmetricLift:
+    """The order-k lift generator restricted to symmetric tensors, from index arithmetic.
+
+    Row beta of level j is d/dt x^beta = sum_a beta_a x^(beta - e_a) xdot_a,
+    so entry (beta, gamma) of the shift sum of an operator F with q inputs
+    (F0, F1, F2 for q = 0, 1, 2) is sum_a beta_a F[a, c] over the ordered
+    q-tuples c with beta - e_a + c = gamma.  Each term removes one copy of
+    a from the sorted tuple of beta and inserts c; the CSR conversion sums
+    the terms.  The cap counts full coordinates, as in :func:`build_blocks`.
+    """
+    if k < 1:
+        raise ValueError("truncation order must be >= 1")
+    n = sys.n
+    _check_cap(total_dimension(n, k), cap)
+    starts = [symmetric_dimension(n, j) for j in range(k)]  # level j starts at starts[j-1]
+    ops = []
+    for q, op in enumerate((sys.f0.reshape(n, 1), sys.f1, sys.f2)):
+        op_rows, op_cols = np.nonzero(op)
+        ops.append((q, op_rows, _digits(op_cols, n, q), op[op_rows, op_cols]))
+    rows, cols, vals = [], [], []
+    for j in range(1, k + 1):
+        t = _multisets(n, j)
+        # one term per distinct a in beta: the first slot holding it, weighted beta_a
+        first = np.ones(t.shape, dtype=bool)
+        first[:, 1:] = t[:, 1:] != t[:, :-1]
+        row, slot = np.nonzero(first)
+        a = t[row, slot]
+        weight = np.count_nonzero(t[row] == a[:, None], axis=1)
+        others = np.array([[i for i in range(j) if i != s] for s in range(j)], dtype=np.int64)
+        rest = t[row[:, None], others[slot]]
+        for q, op_rows, op_digits, op_vals in ops:
+            target = j - 1 + q
+            if not 1 <= target <= k:
+                continue
+            lo = np.searchsorted(op_rows, a, side="left")
+            count = np.searchsorted(op_rows, a, side="right") - lo
+            term = np.repeat(np.arange(row.size), count)
+            entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(term.size)
+            gamma = np.sort(np.concatenate([rest[term], op_digits[entry]], axis=1), axis=1)
+            rows.append(starts[j - 1] + row[term])
+            cols.append(starts[target - 1] + _rank(gamma, n))
+            vals.append(weight[term] * op_vals[entry])
+    dim = symmetric_dimension(n, k)
+    index = np.int32 if dim < 2**31 else np.int64
+    coords = (np.concatenate(rows).astype(index), np.concatenate(cols).astype(index))
+    coo = sp.coo_array((np.concatenate(vals), coords), shape=(dim, dim))
+    drive = np.zeros(dim, dtype=complex)
+    drive[:n] = sys.f0
+    return SymmetricLift(n, k, coo.tocsr(), drive)
+
+
+def symmetric_monomials(states, n: int, k: int) -> np.ndarray:
+    """The multiset coordinates x^alpha, |alpha| = 1..k, of each row of ``states``."""
+    x = np.asarray(states, dtype=complex).reshape(-1, n)
+    levels = []
+    for j in range(1, k + 1):
+        # elementwise products in slot order: the rounding is the same
+        # whatever the number of rows, so x0's lift equals the reference's at t = 0
+        tuples = _multisets(n, j)
+        monomial = x[:, tuples[:, 0]]
+        for s in range(1, j):
+            monomial = monomial * x[:, tuples[:, s]]
+        levels.append(monomial)
+    return np.concatenate(levels, axis=1)
+
+
+def multiset_index(n: int, k: int) -> np.ndarray:
+    """Multiset coordinate of every full lift coordinate.
+
+    Full coordinate i of level j is the index tuple of its base-n digits,
+    and lands on the multiset of that tuple.  Indexing a multiset-coordinate
+    vector with this map expands it to full coordinates (the duplication
+    matrix), and its ``np.bincount`` gives the multinomial counts
+    j! / prod_a alpha_a!.
+    """
+    return np.concatenate([
+        symmetric_dimension(n, j - 1)
+        + _rank(np.sort(_digits(np.arange(n**j, dtype=np.int64), n, j), axis=1), n)
+        for j in range(1, k + 1)
+    ])
+
+
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """Taylor degree m and step count s for ||t A||_1 = norm.
 
@@ -299,23 +458,27 @@ def error_profile(
 ) -> ErrorProfile:
     """Blockwise lift error against the nonlinear reference solve.
 
-    The error is formed by direct subtraction of exact tensor powers
-    from the lifted blocks; the defect ODE formulation is kept as a test
-    property, not recomputed here.
+    The lift evolves in multiset coordinates (:func:`build_symmetric_lift`)
+    and the error is formed by direct subtraction from the reference's
+    monomials; the block norms follow from
+    ||x^(j) - y_j||^2 = sum_alpha (j choose alpha) |x^alpha - y_alpha|^2.
+    ``lift`` holds the lifted states expanded to full coordinates.  The
+    defect ODE formulation is kept as a test property, not recomputed here.
     """
     t = np.asarray(times, dtype=float)
     ref = reference if reference is not None else integrate_reference(
         sys, x0, t, rel_tol=tol, abs_tol=tol
     )
-    cm = build_blocks(sys, k, cap=cap)
-    lift = integrate_lift(cm, initial_lift(x0, k), t, cap=cap)
-    norms = np.zeros((t.size, k))
-    for i in range(t.size):
-        blocks = split_blocks(lift.states[i], sys.n, k)
-        x = ref.states[i]
-        for j in range(1, k + 1):
-            norms[i, j - 1] = np.linalg.norm(tensor_power(x, j) - blocks[j - 1])
-    return ErrorProfile(t, norms, k, reference=ref, lift=lift)
+    n = sys.n
+    lifted = build_symmetric_lift(sys, k, cap=cap)
+    lift = integrate_lift(lifted, symmetric_monomials(x0, n, k).ravel(), t, cap=cap)
+    index = multiset_index(n, k)
+    diff = symmetric_monomials(ref.states, n, k) - lift.states
+    squares = np.bincount(index) * np.abs(diff) ** 2
+    starts = [symmetric_dimension(n, j) for j in range(k)]
+    norms = np.sqrt(np.add.reduceat(squares, starts, axis=1))
+    full = Trajectory(lift.times, lift.states[:, index])
+    return ErrorProfile(t, norms, k, reference=ref, lift=full)
 
 
 def convergence_sweep(
@@ -328,8 +491,8 @@ def convergence_sweep(
 ) -> dict:
     """First-block error at time t for each k, plus a geometric-ratio fit.
 
-    The lift is built once at the largest k; every smaller order is its
-    leading principal block.  The fit is on log(error) vs k by least
+    The lift is built once at the largest k, in multiset coordinates; every
+    smaller order is its leading principal block.  The fit is on log(error) vs k by least
     squares; it is reported as absent when any error sits at the oracle
     noise floor (10x tol).
     """
@@ -338,10 +501,12 @@ def convergence_sweep(
         raise ValueError("k_range must be nonempty and strictly ascending")
     times = np.array([0.0, float(t)])
     ref = integrate_reference(sys, x0, times, rel_tol=tol, abs_tol=tol)
-    full = build_blocks(sys, ks[-1], cap=cap)
+    lifted = build_symmetric_lift(sys, ks[-1], cap=cap)
+    y0 = symmetric_monomials(x0, sys.n, ks[-1]).ravel()
     errs: dict[int, float] = {}
     for k in ks:
-        lift = integrate_lift(full.truncated(k), initial_lift(x0, k), times, cap=cap)
+        truncated = lifted.truncated(k)
+        lift = integrate_lift(truncated, y0[: truncated.total_dim], times, cap=cap)
         errs[k] = float(np.linalg.norm(ref.states[-1] - lift.states[-1, : sys.n]))
     ratio = None
     floor = 10.0 * tol

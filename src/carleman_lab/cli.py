@@ -37,7 +37,7 @@ from .forests import (
     count_forests,
     enumerate_forests,
     forest_count_bound,
-    fusion_sum,
+    fusion_sums,
 )
 from .jsonio import system_from_json
 from .system import QuadraticSystem
@@ -387,13 +387,14 @@ def cmd_combinatorics(args) -> int:
     if max_k > 8:
         raise CapExceededError("combinatorics table capped at k = 8")
     lines = ["identity,j,k,lhs,rhs,pass"]
+    sums = {k: fusion_sums(k) for k in range(1, max_k + 1)}
     for k in range(1, max_k + 1):
-        lhs = fusion_sum(1, k)
+        lhs = sums[k][0]
         rhs = catalan(k)
         lines.append(f"fusion_equals_catalan,1,{k},{lhs},{rhs},{_fmt(lhs == rhs)}")
     for k in range(1, max_k + 1):
         for j in range(1, k + 1):
-            lhs = fusion_sum(j, k)
+            lhs = sums[k][j - 1]
             rhs = catalan_convolution(j, k - j + 1)
             lines.append(
                 f"fusion_equals_convolution,{j},{k},{lhs},{rhs},{_fmt(lhs == rhs)}"

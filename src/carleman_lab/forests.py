@@ -107,30 +107,41 @@ def catalan_convolution(j: int, k: int) -> int:
     return int(value)
 
 
-def fusion_sum(j: int, k: int) -> Fraction:
-    """Excitation-weighted fusion count, exactly.
+def fusion_sums(k: int) -> tuple[Fraction, ...]:
+    """Excitation-weighted fusion counts for every j = 1..k, exactly; entry j-1 is j's.
 
     Sums, over every fusion path from k+1 unexcited subsystems down to j,
     the product of inverse excitation counts; equals
     catalan_convolution(j, k-j+1).  A step fuses neighbors l and l+1 into
     one excited subsystem and divides by the new number of excited
     subsystems, so a step's weight depends on the path only through the
-    current excitation flags.  The sum is therefore a dynamic program over
-    flag tuples (at most 2^(k+1) states) in place of the k!/(j-1)! paths.
+    current excitation flags.  The sums are therefore one dynamic program
+    over flag tuples (at most 2^(k+1) states) in place of the k!/(j-1)!
+    paths: the total weight after the fusions down to j subsystems is j's
+    sum.
     """
-    if not 1 <= j <= k:
-        raise ValueError("need 1 <= j <= k")
+    if k < 1:
+        raise ValueError("need k >= 1")
     if k > FUSION_CAP:
         raise CapExceededError(f"fusion sums capped at k = {FUSION_CAP}")
     weights = {(False,) * (k + 1): Fraction(1)}
-    for i in range(k, j - 1, -1):
+    totals = []
+    for i in range(k, 0, -1):
         fused_weights: dict[tuple, Fraction] = {}
         for flags, weight in weights.items():
             for l in range(i):
                 fused = flags[:l] + (True,) + flags[l + 2 :]
                 fused_weights[fused] = fused_weights.get(fused, 0) + weight / sum(fused)
         weights = fused_weights
-    return sum(weights.values(), Fraction(0))
+        totals.append(sum(weights.values(), Fraction(0)))
+    return tuple(reversed(totals))
+
+
+def fusion_sum(j: int, k: int) -> Fraction:
+    """The fusion count for one j, read from :func:`fusion_sums`."""
+    if not 1 <= j <= k:
+        raise ValueError("need 1 <= j <= k")
+    return fusion_sums(k)[j - 1]
 
 
 def forest_count_bound(i: int, j: int) -> int:

@@ -6,11 +6,15 @@ from carleman_lab import linalg
 from carleman_lab.carleman import (
     assemble_dense,
     build_blocks,
+    build_symmetric_lift,
     convergence_sweep,
     error_profile,
     initial_lift,
     integrate_lift,
+    multiset_index,
     split_blocks,
+    symmetric_dimension,
+    symmetric_monomials,
     total_dimension,
 )
 from carleman_lab.cli import main
@@ -315,6 +319,148 @@ class TestSlicedSweep:
             assert abs(sweep["errors"][k] - fresh) <= 1e-13
 
 
+def complex_system(seed, n, f2_scale=0.4):
+    """A random complex system with a drive and a non-symmetric F2, and an x0."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    sys = QuadraticSystem(
+        f0=0.1 * draw(n),
+        f1=draw(n, n) / n - 1.5 * np.eye(n),
+        f2=f2_scale * draw(n, n * n) / n,
+    )
+    return sys, 0.3 * draw(n) / np.sqrt(n)
+
+
+def full_lift(sys, x0, k, times):
+    """The full-coordinate oracle: Kronecker blocks evolved from x0^(j)."""
+    return integrate_lift(build_blocks(sys, k), initial_lift(x0, k), times)
+
+
+def symmetric_vector(rng, n, j):
+    """A random symmetric level-j tensor, flattened."""
+    index = multiset_index(n, j)[-(n**j):] - symmetric_dimension(n, j - 1)
+    z = rng.standard_normal(index.max() + 1) + 1j * rng.standard_normal(index.max() + 1)
+    return z[index]
+
+
+class TestSymmetricLift:
+    CASES = [(1, 10), (2, 8), (3, 5), (4, 4)]
+
+    @pytest.mark.parametrize("n, k", CASES)
+    def test_error_profile_matches_full_path(self, n, k):
+        sys, x0 = complex_system(40 + n, n)
+        times = np.linspace(0.0, 1.0, 5)
+        prof = error_profile(sys, x0, k, times)
+        full = full_lift(sys, x0, k, times)
+        for i, x in enumerate(prof.reference.states):
+            blocks = split_blocks(full.states[i], n, k)
+            expected = [
+                np.linalg.norm(tensor_power(x, j) - blocks[j - 1]) for j in range(1, k + 1)
+            ]
+            assert np.max(np.abs(prof.block_norms[i] - expected)) <= 1e-13
+        assert np.all(prof.block_norms[0] == 0.0)
+        # the expanded lift keeps the full layout
+        assert prof.lift.states.shape == full.states.shape
+        assert np.max(np.abs(prof.lift.states - full.states)) <= 1e-13
+
+    @pytest.mark.parametrize("n, k", CASES)
+    @pytest.mark.parametrize("f2_scale", [0.4, 0.0])
+    def test_sweep_matches_full_path(self, n, k, f2_scale):
+        sys, x0 = complex_system(40 + n, n, f2_scale)
+        tol = 1e-12
+        sweep = convergence_sweep(sys, x0, range(1, k + 1), 1.0, tol=tol)
+        times = np.array([0.0, 1.0])
+        ref = integrate_reference(sys, x0, times, tol, tol)
+        expected = [
+            np.linalg.norm(ref.states[-1] - full_lift(sys, x0, m, times).states[-1, :n])
+            for m in range(1, k + 1)
+        ]
+        got = [sweep["errors"][m] for m in range(1, k + 1)]
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-13
+        assert (sweep["fitted_ratio"] is None) == (min(expected) <= 10 * tol)
+        # F2 = 0 puts every error at the noise floor, which drops the fit
+        if f2_scale == 0.0:
+            assert sweep["fitted_ratio"] is None
+
+    @pytest.mark.parametrize("n, k", [(1, 4), (2, 4), (3, 3)])
+    def test_blocks_are_the_restriction_of_the_full_blocks(self, n, k):
+        sys, _ = complex_system(50 + n, n)
+        f2 = sys.f2.reshape(n, n, n)
+        assert n == 1 or not np.allclose(f2, f2.transpose(0, 2, 1))
+        full = build_blocks(sys, k)
+        index = multiset_index(n, k)
+        # elimination keeps the sorted index tuple of each multiset;
+        # duplication copies each multiset to all its index tuples
+        rows = np.unique(index, return_index=True)[1]
+        duplication = np.zeros((index.size, rows.size))
+        duplication[np.arange(index.size), index] = 1.0
+        expected = full.generator().toarray()[rows] @ duplication
+        got = build_symmetric_lift(sys, k).generator().toarray()
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+        # every full block, A_{k,k+1} included, maps symmetric tensors to symmetric ones
+        index = multiset_index(n, k + 1)
+        levels = [
+            index[total_dimension(n, j - 1) : total_dimension(n, j)]
+            - symmetric_dimension(n, j - 1)
+            for j in range(1, k + 2)
+        ]
+        rng = np.random.default_rng(n)
+        for j in range(1, k + 1):
+            pairs = [(j, full.block_diag(j)), (j + 1, full.block_upper(j))]
+            if j >= 2:
+                pairs.append((j - 1, full.block_lower(j)))
+            level = levels[j - 1]
+            representative = np.unique(level, return_index=True)[1]
+            for m, block in pairs:
+                image = block @ symmetric_vector(rng, n, m)
+                assert np.max(np.abs(image - image[representative][level])) <= 1e-14
+
+    def test_coordinates(self):
+        n, k = 3, 4
+        x = np.array([0.5, -0.2 + 0.1j, 1.3])
+        index = multiset_index(n, k)
+        assert index.size == total_dimension(n, k)
+        assert index.max() + 1 == symmetric_dimension(n, k) == 34
+        # expanding the monomials gives the tensor powers, and each
+        # multiset is hit by its multinomial number of index tuples
+        assert np.allclose(symmetric_monomials(x, n, k).ravel()[index], initial_lift(x, k))
+        counts = np.bincount(index)
+        assert counts[:n].tolist() == [1, 1, 1]
+        assert counts[n : n + 6].tolist() == [1, 2, 2, 1, 2, 1]  # 00 01 02 11 12 22
+
+    def test_truncation_is_a_fresh_lower_order_build(self):
+        sys, _ = complex_system(7, 3)
+        lifted = build_symmetric_lift(sys, 5)
+        for k in range(1, 6):
+            fresh = build_symmetric_lift(sys, k)
+            assert np.array_equal(
+                lifted.truncated(k).generator().toarray(), fresh.generator().toarray()
+            )
+            assert np.array_equal(lifted.truncated(k).drive, fresh.drive)
+
+    def test_cap_counts_full_coordinates(self, monkeypatch):
+        from carleman_lab import carleman
+
+        sys, x0 = complex_system(3, 3)
+        assert symmetric_dimension(3, 4) <= 100 < total_dimension(3, 4)
+
+        def refuse(*args):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(carleman, "_multisets", refuse)
+        with pytest.raises(DimensionCapError) as err:
+            build_symmetric_lift(sys, 4, cap=100)
+        assert err.value.required == total_dimension(3, 4)
+        with pytest.raises(DimensionCapError):
+            error_profile(sys, x0, 4, [0.0, 1.0], cap=100)
+        with pytest.raises(DimensionCapError):
+            convergence_sweep(sys, x0, range(2, 5), 1.0, cap=100)
+
+
 class TestDeterminism:
     # scipy's expm_multiply switches to a randomized 1-norm estimate once
     # t * ||A - mu I||_1 exceeds Al-Mohy & Higham's (3.13) bound, about 63
@@ -324,10 +470,11 @@ class TestDeterminism:
     def test_setup_is_past_the_randomized_threshold(self):
         from carleman_lab.fixtures import damped_oscillator
 
-        cm = build_blocks(damped_oscillator().system, 6)
-        a = cm.generator()
-        shifted = a - a.trace() / a.shape[0] * sp.identity(a.shape[0])
-        assert 20.0 * abs(shifted).sum(axis=0).max() > 63.4
+        # simulate evolves the multiset lift; the full one is checked as before
+        for build in (build_symmetric_lift, build_blocks):
+            a = build(damped_oscillator().system, 6).generator()
+            shifted = a - a.trace() / a.shape[0] * sp.identity(a.shape[0])
+            assert 20.0 * abs(shifted).sum(axis=0).max() > 63.4
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -351,9 +351,19 @@ class TestCombinatorics:
         out = tmp_path / "comb.csv"
         expected = tmp_path / "oracle.csv"
         assert run(["combinatorics", "--max-k", "7", "--out", str(out)]) == 0
-        monkeypatch.setattr(cli, "fusion_sum", fusion_sum_by_paths)
+        monkeypatch.setattr(
+            cli, "fusion_sums",
+            lambda k: tuple(fusion_sum_by_paths(j, k) for j in range(1, k + 1)),
+        )
         assert run(["combinatorics", "--max-k", "7", "--out", str(expected)]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_one_fusion_run_per_order(self, tmp_path, monkeypatch):
+        from carleman_lab import forests
+
+        runs = count_calls(monkeypatch, forests.fusion_sums)
+        assert run(["combinatorics", "--max-k", "6", "--out", str(tmp_path / "c.csv")]) == 0
+        assert runs == [(k,) for k in range(1, 7)]
 
     def test_order_above_cap_is_refused(self, tmp_path, capsys):
         from carleman_lab.cli import EXIT_INPUT
@@ -569,7 +579,7 @@ class TestDumpStatesReuse:
     def test_reference_and_lift_computed_once(self, monkeypatch, tmp_path):
         from carleman_lab import carleman, system
 
-        builds = count_calls(monkeypatch, carleman.build_blocks)
+        builds = count_calls(monkeypatch, carleman.build_symmetric_lift)
         solves = count_calls(monkeypatch, system.integrate_reference)
         out = tmp_path / "sim.csv"
         argv = ["simulate", "--fixture", "scalar", "--param", "b=0.1", "--k", "3",

@@ -13,6 +13,7 @@ from carleman_lab.forests import (
     enumerate_trees,
     forest_count_bound,
     fusion_sum,
+    fusion_sums,
     leaf_count,
 )
 from forest_oracle import TreeStructure, fusion_paths, fusion_sum_by_paths
@@ -77,8 +78,10 @@ class TestFusionSums:
 
     def test_dp_matches_path_oracle(self):
         for k in range(1, 8):
+            expected = tuple(fusion_sum_by_paths(j, k) for j in range(1, k + 1))
+            assert fusion_sums(k) == expected, k
             for j in range(1, k + 1):
-                assert fusion_sum(j, k) == fusion_sum_by_paths(j, k), (j, k)
+                assert fusion_sum(j, k) == expected[j - 1], (j, k)
 
     def test_dp_matches_convolution_up_to_cap(self):
         # k = FUSION_CAP is 3.6 million paths for the oracle at j = 1
@@ -89,6 +92,8 @@ class TestFusionSums:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             fusion_sum(1, FUSION_CAP + 1)
+        with pytest.raises(CapExceededError):
+            fusion_sums(FUSION_CAP + 1)
 
     def test_closed_form_all_orders(self):
         import math
