@@ -6,15 +6,16 @@ vector whose linear flow is generated by -iH with H Hermitian built from
 the signed incidence matrix of the spring graph; kinetic, potential, and
 total energy are then plain coordinate norms.  A weak nonlinearity
 modulated at a frequency above the phonon band is absorbed by a spectral
-shift, after which the lift pipeline reproduces the kinetic-energy
-fraction of a subset of masses to many digits.
+shift, after which the lift pipeline (the lift on symmetric tensors, in
+multiset coordinates) reproduces the kinetic-energy fraction of a subset
+of masses to many digits.
 
 Run:  python3 demos/05_oscillator_network.py
 """
 
 import numpy as np
 
-from carleman_lab.carleman import build_blocks, initial_lift, integrate_lift, split_blocks
+from carleman_lab.carleman import build_symmetric_lift, integrate_lift, symmetric_monomials
 from carleman_lab.fixtures import (
     oscillator_network,
     subset_kinetic_energy,
@@ -46,11 +47,12 @@ def main():
     horizon = 1.0
     shifted = shift_oscillating_f2(fx.system, omega)
     k = 3
-    cm = build_blocks(shifted.shifted, k)
-    lift = integrate_lift(cm, initial_lift(fx.x0, k), np.array([0.0, horizon]))
-    z_lift = shifted.unshift_phase(1, horizon) * split_blocks(
-        lift.states[-1], fx.system.n, k
-    )[0]
+    dim = fx.system.n
+    lifted = build_symmetric_lift(shifted.shifted, k)
+    y0 = symmetric_monomials(fx.x0, dim, k).ravel()
+    lift = integrate_lift(lifted, y0, np.array([0.0, horizon]))
+    # level 1 of the multiset coordinates is the state itself
+    z_lift = shifted.unshift_phase(1, horizon) * lift.states[-1, :dim]
     direct = integrate_nonautonomous(
         lambda t, y: fx.system.f1 @ y
         + np.exp(1j * omega * t) * (fx.system.f2 @ np.kron(y, y)),

@@ -26,26 +26,23 @@ Neudecker, "The elimination matrix", SIAM J. Alg. Disc. Meth. 1(4),
     4  5  1 364        125
     4  7 21 844        329
 
-The dimension cap still counts full coordinates, n + n^2 + ... + n^k.
-:func:`build_blocks` keeps the full blocks, which the diagonalization
-and the tests use.
+The dimension cap (:func:`errors.check_cap`) counts full coordinates,
+n + n^2 + ... + n^k.  The full blocks of :func:`build_blocks` serve only
+the tests' oracles and the benchmark's tracer.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionCapError, DimensionMismatchError, MatrixOverflowError
+from .errors import DimensionMismatchError, MatrixOverflowError, check_cap
 from .linalg import tensor_power
 from .system import QuadraticSystem, Trajectory, integrate_reference
-
-DEFAULT_DENSE_CAP = 20_000
 
 #: theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53:
 #: the degree-m Taylor series of e^X has backward error below 2^-53
@@ -60,20 +57,6 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _TAYLOR_TOL = 2.0**-53
-
-
-def dense_cap() -> int:
-    """Lift-dimension cap; override with the CARLEMAN_LAB_CAP env var."""
-    raw = os.environ.get("CARLEMAN_LAB_CAP")
-    if raw:
-        return int(raw)
-    return DEFAULT_DENSE_CAP
-
-
-def _check_cap(dim: int, cap: int | None) -> None:
-    cap = dense_cap() if cap is None else cap
-    if dim > cap:
-        raise DimensionCapError(dim, cap)
 
 
 def total_dimension(n: int, k: int) -> int:
@@ -177,12 +160,12 @@ class CarlemanMatrix:
 
 
 def build_blocks(sys: QuadraticSystem, k: int, cap: int | None = None) -> CarlemanMatrix:
-    """Assemble all lift blocks by sparse Kronecker shift sums."""
+    """Assemble all lift blocks by sparse Kronecker shift sums (a test oracle)."""
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     n = sys.n
     dim = total_dimension(n, k)
-    _check_cap(dim, cap)
+    check_cap(dim, cap)
     f0_col = sys.f0.reshape(n, 1)
     lower = tuple(_shift_sum(f0_col, n, j) for j in range(2, k + 1))
     diag = tuple(_shift_sum(sys.f1, n, j) for j in range(1, k + 1))
@@ -194,7 +177,7 @@ def build_blocks(sys: QuadraticSystem, k: int, cap: int | None = None) -> Carlem
 
 def assemble_dense(cm: CarlemanMatrix, cap: int | None = None) -> np.ndarray:
     """Dense copy of the sparse generator; a test oracle, used by no production path."""
-    _check_cap(cm.total_dim, cap)
+    check_cap(cm.total_dim, cap)
     return cm.generator().toarray()
 
 
@@ -288,7 +271,7 @@ def build_symmetric_lift(
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     n = sys.n
-    _check_cap(total_dimension(n, k), cap)
+    check_cap(total_dimension(n, k), cap)
     starts = [symmetric_dimension(n, j) for j in range(k)]  # level j starts at starts[j-1]
     ops = []
     for q, op in enumerate((sys.f0.reshape(n, 1), sys.f1, sys.f2)):
@@ -422,7 +405,7 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
-    _check_cap(cm.total_dim, cap)
+    check_cap(cm.total_dim, cap)
     drive = sp.csr_array(cm.drive.reshape(-1, 1))
     corner = sp.csr_array((1, 1), dtype=complex)
     aug = sp.block_array([[cm.generator(), drive], [None, corner]], format="csr")

@@ -5,6 +5,8 @@ class; plain ``ValueError`` is reserved for malformed arguments that
 indicate a programming error rather than a property of the input system.
 """
 
+import os
+
 
 class CarlemanLabError(Exception):
     """Base class for all toolkit errors."""
@@ -59,11 +61,24 @@ class DimensionCapError(CarlemanLabError):
 
     def __init__(self, required: int, cap: int):
         super().__init__(
-            f"dense Carleman dimension {required} exceeds cap {cap}; "
+            f"Carleman lift dimension {required} (full coordinates) exceeds cap {cap}; "
             "raise the cap explicitly to proceed"
         )
         self.required = required
         self.cap = cap
+
+
+def dense_cap() -> int:
+    """Lift-dimension cap, 20 000 unless the CARLEMAN_LAB_CAP env var sets it."""
+    raw = os.environ.get("CARLEMAN_LAB_CAP")
+    return int(raw) if raw else 20_000
+
+
+def check_cap(dim: int, cap: int | None = None) -> None:
+    """Raise :class:`DimensionCapError` when ``dim`` exceeds ``cap`` (default :func:`dense_cap`)."""
+    cap = dense_cap() if cap is None else cap
+    if dim > cap:
+        raise DimensionCapError(dim, cap)
 
 
 class ZeroInitialStateError(CarlemanLabError):

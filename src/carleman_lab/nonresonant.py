@@ -34,6 +34,7 @@ from .errors import (
     StepSizeUnderflowError,
     UncertifiedError,
     WrongSignError,
+    check_cap,
 )
 from .linalg import as_cvector, column_sparsity, kron2, kron_chain, origin_hull_status
 from .system import QuadraticSystem, Spectrum
@@ -226,53 +227,58 @@ def build_v_blocks(lams, f2_tilde, k: int) -> dict:
     return _map_blocks(ev.size, k, lambda j, v: build_nl(ev, j) * (f2t @ v[(2, j)]))
 
 
+def _shift_apply(op: np.ndarray, x: np.ndarray, n: int, level: int) -> np.ndarray:
+    """(sum_{l<level} I_{n^l} (x) op (x) I_{n^(level-1-l)}) @ x, without forming the sum.
+
+    Slot l reshapes x to (n^l, q, n^(level-1-l) * cols) for a p x q op and
+    takes one batched matmul, the index layout of ``carleman._shift_sum``.
+    With op = F2~ this is A~_(level,level+1) @ x, and
+    ``_shift_apply(F2~.T, y.T, n, level).T`` is y @ A~_(level,level+1).
+    """
+    p, q = op.shape
+    out = np.zeros((p * n ** (level - 1), x.shape[1]), dtype=complex)
+    for l in range(level):
+        out += np.matmul(op, x.reshape(n**l, q, -1)).reshape(out.shape)
+    return out
+
+
 def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
     """All upper blocks of the inverse transform in eigencoordinates.
 
-    V^{-1} is the Carleman matrix of the compositional inverse of the
-    normal-form map: its first block row G_1 = I, G_j = -sum_{m<j} G_m V_(m,j)
-    solves (V^{-1} V)_(1,j) = 0, and the other blocks follow from it as
-    V's do from W (:func:`_map_blocks`).
+    W = V^{-1} solves the left homological equation W A~ = D W, and A~ is
+    upper block-bidiagonal with A~_(j,j) = D_j, so its first block row is
+    W_(1,j) = -N_j o (W_(1,j-1) A~_(j-1,j)): one product per block, with
+    no cancelling sum and no V.  The other blocks follow from it as V's do
+    from its first row (:func:`_map_blocks`).
     """
-    return _compositional_inverse(build_v_blocks(lams, f2_tilde, k), k)
+    ev, f2t = as_cvector(lams), np.asarray(f2_tilde, dtype=complex)
 
+    def first_row(j: int, w: dict) -> np.ndarray:
+        return -build_nl(ev, j) * _shift_apply(f2t.T, w[(1, j - 1)].T, ev.size, j - 1).T
 
-def _compositional_inverse(v: dict, k: int) -> dict:
-    """V^{-1} blocks from the V blocks of :func:`build_v_blocks`.
-
-    The first-row sum G_j = -sum_{m<j} G_m V_(m,j) cancels, and each G_m
-    carries the rounding of the ones before it, so block (1, j) loses
-    relative accuracy as j grows.  On scalar systems the terms add up to
-    2^(j-1) - 1 times |G_j| (511 at j = 10).  Against a 60-digit
-    evaluation of the same recursion over 200 random scalar systems
-    (j <= 10), the relative error of block (1, j) was at most 0.26 3^j u,
-    with u = 2^-53 (worst 1.4e-12, at j = 10).  The stated bound is 3^j u
-    (6.6e-12 at j = 10); a test holds the first row of one scalar system
-    to it for every j <= 10.
-    """
-    return _map_blocks(
-        len(v[(1, 1)]), k, lambda j, g: -sum(g[(1, m)] @ v[(m, j)] for m in range(1, j))
-    )
+    return _map_blocks(ev.size, k, first_row)
 
 
 @dataclass(frozen=True)
 class CarlemanDiagonalization:
     """Explicit similarity transform of a lift generator in eigencoordinates.
 
-    Both residuals are checked block by block on the sparse lift A~ of the
-    system in eigencoordinates, over every upper block (i, j) of V and
-    W = V^{-1}, with D_j = diag(level_sums(eigenvalues, j)):
+    Both residuals are checked block by block over every upper block
+    (i, j) of V and W = V^{-1}.  The lift A~ in eigencoordinates, never
+    built, has diagonal blocks D_j = diag(level_sums(eigenvalues, j)) and
+    upper blocks A~_(i,i+1), applied matrix-free (:func:`_shift_apply`):
 
-    * ``residual`` = sqrt(sum ||R_(i,j)||_F^2) / max|entry of A~|, where
-      R_(i,j) = A~_(i,i) V_(i,j) + A~_(i,i+1) V_(i+1,j) - V_(i,j) D_j (the
-      second term only for i < j) is block (i, j) of A~ V - V D;
+    * ``residual`` = sqrt(sum ||R_(i,j)||_F^2) / scale, where
+      R_(i,j) = D_i V_(i,j) - V_(i,j) D_j + A~_(i,i+1) V_(i+1,j) (the last
+      term only for i < j) is block (i, j) of A~ V - V D, and
+      scale = max(max_{j<=k} |level_sums(eigenvalues, j)|, max|F2~|);
     * ``inverse_residual`` = sqrt(sum ||E_(i,j)||_F^2), where
       E_(i,j) = sum_{m=i..j} V_(i,m) W_(m,j) - delta_ij I is block (i, j)
       of V W - I.
 
-    Since ||.||_2 <= ||.||_F and max|entry| <= ||A~||_2, each bounds the
-    dense quantity ||A~ V - V D||_2 / ||A~||_2, resp. ||V W - I||_2, from
-    above.
+    The scale's terms are entries of A~ (F2~ is A~_(1,2); at k = 1 every R
+    is zero), so scale <= ||A~||_2; with ||.||_2 <= ||.||_F, each residual
+    bounds ||A~ V - V D||_2 / ||A~||_2, resp. ||V W - I||_2, from above.
     """
 
     k: int
@@ -293,43 +299,38 @@ class CarlemanDiagonalization:
         return kron_chain([self.q] * i) @ self.v_blocks[(i, j)]
 
 
-def _blockwise_residuals(lift, lams, v: dict, w: dict) -> tuple[float, float]:
+def _blockwise_residuals(lams, f2t, v: dict, w: dict) -> tuple[float, float]:
     """``residual`` and ``inverse_residual`` of :class:`CarlemanDiagonalization`."""
-    truncated = (*lift.diag, *lift.upper[: lift.k - 1])
-    scale = max(max(abs(b).max() for b in truncated), 1e-300)
+    n, k = len(lams), max(j for _, j in v)
+    d = {j: level_sums(lams, j) for j in range(1, k + 1)}
+    scale = max(max(np.abs(dj).max() for dj in d.values()), np.abs(f2t).max(), 1e-300)
     similarity, inverse = [], []
     for (i, j), vij in v.items():
-        r = lift.block_diag(i) @ vij - vij * level_sums(lams, j)[None, :]
+        r = d[i][:, None] * vij - vij * d[j][None, :]
         if i < j:
-            r += lift.block_upper(i) @ v[(i + 1, j)]
+            r += _shift_apply(f2t, v[(i + 1, j)], n, i)
         e = sum(v[(i, m)] @ w[(m, j)] for m in range(i, j + 1))
         if i == j:
             e[np.diag_indices_from(e)] -= 1.0
         similarity.append(np.linalg.norm(r))
         inverse.append(np.linalg.norm(e))
-    return (
-        float(np.linalg.norm(similarity) / scale),
-        float(np.linalg.norm(inverse)),
-    )
+    return float(np.linalg.norm(similarity) / scale), float(np.linalg.norm(inverse))
 
 
 def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalization:
-    """Build and verify the explicit diagonalization of the order-k lift."""
-    from .carleman import build_blocks
-
+    """Build and verify the explicit diagonalization of the order-k lift, capped as the lift is."""
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("diagonalization requires a driftless system")
     spec = sys.spectrum
     if not spec.dec.diagonalizable:
         raise NonDiagonalizableError("linear part is numerically defective")
+    if k < 1:
+        raise ValueError("truncation order must be >= 1")
+    check_cap(sum(sys.n**j for j in range(1, k + 1)))
     lams, q, f2t = spec.dec.eigenvalues, spec.dec.right_vectors, spec.f2_tilde
-    transformed = QuadraticSystem(
-        f0=np.zeros(sys.n), f1=np.diag(lams), f2=f2t
-    )
-    lift = build_blocks(transformed, k)
     v_blocks = build_v_blocks(lams, f2t, k)
-    vinv_blocks = _compositional_inverse(v_blocks, k)
-    residual, inverse_residual = _blockwise_residuals(lift, lams, v_blocks, vinv_blocks)
+    vinv_blocks = build_vinv_blocks(lams, f2t, k)
+    residual, inverse_residual = _blockwise_residuals(lams, f2t, v_blocks, vinv_blocks)
     return CarlemanDiagonalization(
         k=k,
         n=sys.n,

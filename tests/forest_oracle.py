@@ -151,6 +151,15 @@ def vinv_blocks_by_composition(lams, f2_tilde, k: int) -> dict:
 
     The first row G_1 = I, G_j = -sum_{m<j} G_m V_(m,j) of the
     compositional inverse, from the oracle V, then the composition sum.
+
+    The first-row sum cancels, and each G_m carries the rounding of the
+    ones before it, so block (1, j) loses relative accuracy as j grows.
+    On scalar systems the terms add up to 2^(j-1) - 1 times |G_j| (511 at
+    j = 10).  Against a 60-digit evaluation over 200 random scalar systems
+    (j <= 10), the relative error of block (1, j) was at most 0.26 3^j u,
+    with u = 2^-53 (worst 1.4e-12, at j = 10).  Comparisons with this
+    oracle at large j are therefore limited by its own error, not by the
+    production recursion's.
     """
     v = v_blocks_by_composition(lams, f2_tilde, k)
     g = {1: v[(1, 1)]}

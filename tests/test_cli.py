@@ -391,7 +391,7 @@ class TestSystemJson:
         assert np.count_nonzero(sys.f2) == 1
 
     def test_cap_env_override(self, monkeypatch):
-        from carleman_lab.carleman import dense_cap
+        from carleman_lab.errors import dense_cap
 
         monkeypatch.setenv("CARLEMAN_LAB_CAP", "123")
         assert dense_cap() == 123

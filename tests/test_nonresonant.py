@@ -8,6 +8,7 @@ from carleman_lab import carleman, nonresonant
 from carleman_lab.carleman import assemble_dense, build_blocks
 from carleman_lab.cli import main as cli_main
 from carleman_lab.errors import (
+    DimensionCapError,
     NotPoincareError,
     ResonanceFoundError,
     ResonantDenominatorError,
@@ -24,6 +25,7 @@ from carleman_lab.nonresonant import (
     build_v_blocks,
     build_vinv_blocks,
     _blockwise_residuals,
+    _shift_apply,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
@@ -194,8 +196,9 @@ class TestVBlocks:
         rng = np.random.default_rng(7 + 10 * n + k)
         lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
         f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
-        # the first row of V^-1 sums terms up to 511 times its size at n=1,
-        # j=10, where both routes lie 4e-13 and 6e-13 from a 60-digit value
+        # the oracle's first row of V^-1 sums terms up to 511 times its size
+        # at n=1, j=10 and lies up to 6e-13 from a 60-digit value there; the
+        # recursion without that sum lies within 4 j u
         for build, oracle, rtol in (
             (build_v_blocks, v_blocks_by_composition, 1e-13),
             (build_vinv_blocks, vinv_blocks_by_composition, 1e-12),
@@ -293,27 +296,40 @@ def _paper_vinv_24(lams, f2t):
 
 class TestVInverseBlocks:
     def test_first_row_against_high_precision(self):
-        # the scalar system of test_match_composition_oracle[1-10], whose
-        # block (1, 10) sums terms 511 times its size
+        # W_(1,j) = -N_j o (W_(1,j-1) A~_(j-1,j)) takes one product per
+        # block, so its error grows linearly in j; the reference is the
+        # compositional inverse G_j = -sum_{m<j} G_m V_(m,j) at 60 digits,
+        # whose cancellation costs it about 3^j u at double precision
         mpmath = pytest.importorskip("mpmath")
         k = 10
-        rng = np.random.default_rng(7 + 10 * 1 + k)
-        lams = -rng.uniform(0.5, 3.0, 1) + 1j * rng.uniform(-1.0, 1.0, 1)
-        f2t = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-        blocks = build_vinv_blocks(lams, f2t, k)
-        with mpmath.workdps(60):
-            lam, f2 = mpmath.mpc(complex(lams[0])), mpmath.mpc(complex(f2t[0, 0]))
-            v = {(1, 1): mpmath.mpc(1)}
-            for j in range(2, k + 1):
-                for i in range(j, 1, -1):
-                    v[(i, j)] = sum(v[(i - 1, j - m)] * v[(1, m)] for m in range(1, j - i + 2))
-                v[(1, j)] = f2 * v[(2, j)] / ((j - 1) * lam)
-            g = {1: mpmath.mpc(1)}
-            for j in range(2, k + 1):
-                g[j] = -sum(g[m] * v[(m, j)] for m in range(1, j))
-                rel = abs(mpmath.mpc(complex(blocks[(1, j)][0, 0])) - g[j]) / abs(g[j])
-                # the bound stated in _compositional_inverse's docstring
-                assert rel <= 3**j * 2.0**-53, (j, float(rel))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            lams = -rng.uniform(0.5, 3.0, 1) + 1j * rng.uniform(-1.0, 1.0, 1)
+            f2t = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+            blocks = build_vinv_blocks(lams, f2t, k)
+            with mpmath.workdps(60):
+                lam, f2 = mpmath.mpc(complex(lams[0])), mpmath.mpc(complex(f2t[0, 0]))
+                v = {(1, 1): mpmath.mpc(1)}
+                for j in range(2, k + 1):
+                    for i in range(j, 1, -1):
+                        v[(i, j)] = sum(
+                            v[(i - 1, j - m)] * v[(1, m)] for m in range(1, j - i + 2)
+                        )
+                    v[(1, j)] = f2 * v[(2, j)] / ((j - 1) * lam)
+                g = {1: mpmath.mpc(1)}
+                for j in range(2, k + 1):
+                    g[j] = -sum(g[m] * v[(m, j)] for m in range(1, j))
+                    rel = abs(mpmath.mpc(complex(blocks[(1, j)][0, 0])) - g[j]) / abs(g[j])
+                    assert rel <= 4 * j * 2.0**-53, (seed, j, float(rel))
+
+    def test_builds_no_v(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("V built for V^-1")
+
+        monkeypatch.setattr(nonresonant, "build_v_blocks", refuse)
+        lams, f2t = self._data()
+        w = build_vinv_blocks(lams, f2t, 4)
+        assert sorted(w) == [(i, j) for i in range(1, 5) for j in range(i, 5)]
 
     def _data(self, seed=1):
         rng = np.random.default_rng(seed)
@@ -389,6 +405,25 @@ class TestVInverseBlocks:
             build_vinv_blocks(lams, f2t, 3, method="forest")
         with pytest.raises(TypeError):
             build_vinv_blocks(lams, f2t, 3, "backsubstitution")
+
+
+class TestShiftApply:
+    @pytest.mark.parametrize("n,level", [(1, 6), (2, 5), (3, 4), (4, 3)])
+    def test_matches_lift_block_from_both_sides(self, n, level):
+        rng = np.random.default_rng(50 + n)
+        f2 = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+        sys = QuadraticSystem(f0=np.zeros(n), f1=np.eye(n), f2=f2)
+        upper = build_blocks(sys, level).block_upper(level)
+        x, y = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((n ** (level + 1), 3), (2, n**level))
+        )
+        for got, expected in (
+            (_shift_apply(f2, x, n, level), upper @ x),
+            (_shift_apply(f2.T, y.T, n, level).T, y @ upper),
+        ):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestDiagonalize:
@@ -472,10 +507,7 @@ class TestDiagonalize:
             }
 
         v, w = perturbed(diag.v_blocks), perturbed(diag.vinv_blocks)
-        lift = build_blocks(
-            QuadraticSystem(f0=np.zeros(n), f1=np.diag(diag.eigenvalues), f2=diag.f2_tilde), k
-        )
-        blockwise = _blockwise_residuals(lift, diag.eigenvalues, v, w)
+        blockwise = _blockwise_residuals(diag.eigenvalues, diag.f2_tilde, v, w)
         similarity, inverse = self._dense_oracle(diag, v, w)
         assert 1e-9 < similarity <= blockwise[0]
         assert 1e-9 < inverse <= blockwise[1]
@@ -512,10 +544,24 @@ class TestDiagonalize:
         def refuse(*args, **kwargs):
             raise AssertionError("dense lift requested")
 
+        monkeypatch.setattr(carleman, "build_blocks", refuse)
         monkeypatch.setattr(carleman, "assemble_dense", refuse)
         monkeypatch.setattr(carleman.sp.csr_array, "toarray", refuse)
         diag = diagonalize_carleman(random_poincare_system(32, n=3), 3)
         assert diag.residual <= 1e-10 and diag.inverse_residual <= 1e-10
+
+    def test_cap_refuses_before_any_block(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("blocks built before the cap check")
+
+        monkeypatch.setattr(nonresonant, "build_v_blocks", refuse)
+        monkeypatch.setattr(nonresonant, "build_vinv_blocks", refuse)
+        sys = random_poincare_system(34, n=3)
+        # full coordinates 3 + 9 + 27 + 81 = 120
+        monkeypatch.setenv("CARLEMAN_LAB_CAP", "119")
+        with pytest.raises(DimensionCapError) as err:
+            diagonalize_carleman(sys, 4)
+        assert (err.value.required, err.value.cap) == (120, 119)
 
     def test_order_nine(self):
         # lift dimension 2 + 4 + ... + 512 = 1022
