@@ -128,7 +128,8 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="raise the lift-dimension cap to 200000",
+        help="raise the lift-dimension cap to 200000 (diagonalize keeps the "
+        "default cap: its V and V^-1 blocks grow as n^(i+j))",
     )
 
 

@@ -12,7 +12,9 @@ Two oracles for :func:`carleman_lab.nonresonant.build_v_blocks` and
 :class:`TreeStructure` is the indexing view of one tree shape that the
 forest sum walks.  :func:`fusion_sum_by_paths` is the path-enumeration
 oracle for :func:`carleman_lab.forests.fusion_sum`: it walks all
-k!/(j-1)! fusion paths.
+k!/(j-1)! fusion paths.  :func:`blockwise_residuals_full` is the residual
+check of :func:`carleman_lab.nonresonant.diagonalize_carleman` with every
+product by a diagonal block taken in full.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from carleman_lab.forests import LEAF, compositions, enumerate_trees
 from carleman_lab.linalg import as_cvector, kron_chain
-from carleman_lab.nonresonant import build_nl
+from carleman_lab.nonresonant import _shift_apply, build_nl, level_sums
 
 
 class TreeStructure:
@@ -269,3 +271,26 @@ def fusion_sum_by_paths(j: int, k: int) -> Fraction:
             weight /= sum(flags)
         total += weight
     return total
+
+
+def blockwise_residuals_full(lams, f2t, v: dict, w: dict) -> tuple[float, float]:
+    """Oracle for ``nonresonant._blockwise_residuals``: every product formed.
+
+    R_(i,j) = D_i V_(i,j) - V_(i,j) D_j + A~_(i,i+1) V_(i+1,j) and
+    E_(i,j) = sum_{m=i..j} V_(i,m) W_(m,j) - delta_ij I for every upper
+    block, including the products with the diagonal blocks.
+    """
+    n, k = len(lams), max(j for _, j in v)
+    d = {j: level_sums(lams, j) for j in range(1, k + 1)}
+    scale = max(max(np.abs(dj).max() for dj in d.values()), np.abs(f2t).max(), 1e-300)
+    similarity, inverse = [], []
+    for (i, j), vij in v.items():
+        r = d[i][:, None] * vij - vij * d[j][None, :]
+        if i < j:
+            r += _shift_apply(f2t, v[(i + 1, j)], n, i)
+        e = sum(v[(i, m)] @ w[(m, j)] for m in range(i, j + 1))
+        if i == j:
+            e[np.diag_indices_from(e)] -= 1.0
+        similarity.append(np.linalg.norm(r))
+        inverse.append(np.linalg.norm(e))
+    return float(np.linalg.norm(similarity) / scale), float(np.linalg.norm(inverse))

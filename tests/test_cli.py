@@ -310,6 +310,24 @@ class TestDiagonalize:
         assert code == 4
 
 
+    def test_allow_large_keeps_the_default_cap(self, tmp_path, capsys, monkeypatch):
+        from carleman_lab.cli import EXIT_INPUT
+
+        # V and V^-1 blocks grow as n^(i+j): until a byte budget sizes them,
+        # diagonalize refuses past the default cap even under --allow-large
+        monkeypatch.delenv("CARLEMAN_LAB_CAP", raising=False)
+        sys_file = tmp_path / "sys.json"
+        sysd = QuadraticSystem(
+            f0=np.zeros(2), f1=np.diag([-1.0, -2.3]), f2=0.1 * np.ones((2, 4))
+        )
+        sys_file.write_text(system_to_json(sysd))
+        out = tmp_path / "diag.json"
+        argv = ["diagonalize", "--system", str(sys_file), "--x0", "0.1,0.1", "--k", "15"]
+        assert run([*argv, "--allow-large", "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Carleman lift dimension 65534 (full coordinates) exceeds cap 20000" in err
+        assert not out.exists()
+
     def test_real_spectrum_keeps_block_bounds(self, tmp_path):
         # the CLI reads matrices as complex, so this real spectrum reaches
         # the hull test with imaginary parts of about 1e-17

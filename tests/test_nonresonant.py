@@ -50,6 +50,7 @@ from carleman_lab.system import (
     integrate_reference,
 )
 from forest_oracle import (
+    blockwise_residuals_full,
     v_blocks_by_composition,
     vinv_blocks_by_composition,
     vinv_blocks_by_forest,
@@ -512,6 +513,26 @@ class TestDiagonalize:
         assert 1e-9 < similarity <= blockwise[0]
         assert 1e-9 < inverse <= blockwise[1]
 
+    @pytest.mark.parametrize("n,k", [(1, 10), (2, 7), (3, 6), (4, 4)])
+    def test_residuals_match_full_products_bitwise(self, n, k):
+        diag = diagonalize_carleman(random_poincare_system(40 + n, n=n), k)
+        args = (diag.eigenvalues, diag.f2_tilde, diag.v_blocks, diag.vinv_blocks)
+        assert _blockwise_residuals(*args) == blockwise_residuals_full(*args)
+        assert (diag.residual, diag.inverse_residual) == blockwise_residuals_full(*args)
+
+    @pytest.mark.parametrize("family", ["v", "vinv"])
+    def test_perturbed_diagonal_block_takes_full_products(self, family):
+        diag = diagonalize_carleman(random_poincare_system(41, n=2), 4)
+        v, w = dict(diag.v_blocks), dict(diag.vinv_blocks)
+        blocks = v if family == "v" else w
+        blocks[(2, 2)] = blocks[(2, 2)].copy()
+        blocks[(2, 2)][0, 1] += 1e-12
+        got = _blockwise_residuals(diag.eigenvalues, diag.f2_tilde, v, w)
+        assert got == blockwise_residuals_full(diag.eigenvalues, diag.f2_tilde, v, w)
+        assert 5e-13 < got[1] < 1e-11
+        # an identity diagonal block of V leaves R_(2,2) = D_2 - D_2 = 0
+        assert (got[0] > diag.residual) == (family == "v")
+
     def test_perturbed_transform_fails_the_check(self, monkeypatch, tmp_path):
         real = nonresonant.build_v_blocks
 
@@ -601,16 +622,15 @@ class TestNormBounds:
 
 class TestBlockNorm:
     @staticmethod
-    def svd_inputs(monkeypatch):
+    def gram_inputs(monkeypatch):
         seen = []
-        real = np.linalg.norm
+        real = np.linalg.eigvalsh
 
-        def recording(x, ord=None, *args, **kwargs):
-            if ord == 2:
-                seen.append(np.array(x))
-            return real(x, ord, *args, **kwargs)
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         return seen
 
     def test_identity_blocks_take_no_svd(self, monkeypatch):
@@ -622,21 +642,45 @@ class TestBlockNorm:
             if i == j
         ]
         assert all(np.array_equal(b, np.eye(len(b))) for b in diagonal)
-        seen = self.svd_inputs(monkeypatch)
+        seen = self.gram_inputs(monkeypatch)
         assert block_norm(np.eye(27, dtype=complex)) == 1.0
+        assert not seen
         report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
-        assert not any(
-            a.shape[0] == a.shape[1] and np.array_equal(a, np.eye(len(a))) for a in seen
-        )
+        # one Gram matrix per off-diagonal block, n^i x n^i for block (i, j)
+        assert [a.shape for a in seen] == [
+            (3**row["i"],) * 2 for row in report["rows"] if row["i"] < row["j"]
+        ]
         assert all(row["norm"] == 1.0 for row in report["rows"] if row["i"] == row["j"])
 
-    def test_perturbed_identity_takes_svd(self, monkeypatch):
+    def test_perturbed_identity_takes_gram_kernel(self, monkeypatch):
         block = np.eye(9, dtype=complex)
         block[4, 4] += 1e-12
         expected = np.linalg.norm(block, 2)
-        seen = self.svd_inputs(monkeypatch)
-        assert block_norm(block) == expected and expected != 1.0
-        assert len(seen) == 1
+        seen = self.gram_inputs(monkeypatch)
+        got = block_norm(block)
+        assert got != 1.0 and got == pytest.approx(expected, rel=1e-13, abs=0)
+        assert [a.shape for a in seen] == [(9, 9)]
+
+    @pytest.mark.parametrize("n,k", [(1, 10), (2, 7), (3, 6), (4, 4)])
+    def test_gram_norms_match_svd(self, n, k):
+        diag = diagonalize_carleman(random_poincare_system(40 + n, n=n), k)
+        for blocks in (diag.v_blocks, diag.vinv_blocks):
+            for (i, j), block in blocks.items():
+                if i < j:
+                    expected = np.linalg.norm(block, 2)
+                    assert block_norm(block) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_zero_block_is_zero(self):
+        assert block_norm(np.zeros((3, 9), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("size", [1e-310, 1e-170, 1e170])
+    def test_extreme_entries_match_svd(self, size):
+        # unscaled, the Gram entries would underflow (1e-340) or overflow
+        rng = np.random.default_rng(7)
+        block = size * (rng.standard_normal((9, 27)) + 1j * rng.standard_normal((9, 27)))
+        expected = np.linalg.norm(block, 2)
+        assert np.isfinite(expected) and expected > 0
+        assert block_norm(block) == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n,k", [(2, 5), (3, 4)])
     @pytest.mark.parametrize("domain", [POINCARE, SIEGEL])
@@ -660,7 +704,8 @@ class TestBlockNorm:
             assert len(data[key]) == len(blocks)
             for (i, j), block in blocks.items():
                 row = data[key][f"{i},{j}"]
-                assert row["norm"] == float(np.linalg.norm(block, 2))
+                expected = float(np.linalg.norm(block, 2))
+                assert row["norm"] == pytest.approx(expected, rel=1e-13, abs=0)
                 assert (row["bound"] is None) == (domain == SIEGEL)
         # without a no-resonance gap the file has no gap-derived fields
         assert ("delta" in data and "sparsity" in data) == (domain != SIEGEL)
