@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -194,37 +195,45 @@ def build_nl(lams, l: int) -> np.ndarray:
 
 
 def _map_blocks(n: int, k: int, first_row) -> dict:
-    """Upper blocks of the Carleman matrix of a map with identity linear part.
+    """Strictly upper blocks of the Carleman matrix of a map with identity linear part.
 
-    Blocks (i, j), i <= j <= k, come back in row-major order.  Column by
-    column, rows j..2 follow from the first block row by
-    V_(i,j) = sum_{m=1..j-i+1} V_(i-1,j-m) (x) V_(1,m), so every diagonal
-    block is an exact identity; then ``first_row(j, blocks)`` returns
-    block (1, j) from the blocks built so far.
+    Blocks (i, j), i < j <= k, come back in row-major order; every
+    diagonal block is an exact identity and is left implicit.  Column by
+    column, rows j-1..2 follow from the first block row by
+    V_(i,j) = sum_{m=1..j-i+1} V_(i-1,j-m) (x) V_(1,m), whose factors
+    V_(1,1) and V_(i-1,i-1) are identities built here as needed; then
+    ``first_row(j, block)`` returns block (1, j), where ``block(i, j)``
+    gives any block built so far, or the identity when i == j.
     """
-    blocks = {(1, 1): np.eye(n, dtype=complex)}
+    identity = cache(lambda level: np.eye(n**level, dtype=complex))
+    blocks = {}
+
+    def block(i: int, j: int) -> np.ndarray:
+        return identity(i) if i == j else blocks[(i, j)]
+
     for j in range(2, k + 1):
-        for i in range(j, 1, -1):
-            acc = kron2(blocks[(i - 1, j - 1)], blocks[(1, 1)])
+        for i in range(j - 1, 1, -1):
+            acc = kron2(block(i - 1, j - 1), identity(1))
             for m in range(2, j - i + 2):
-                acc += kron2(blocks[(i - 1, j - m)], blocks[(1, m)])
+                acc += kron2(block(i - 1, j - m), block(1, m))
             blocks[(i, j)] = acc
-        blocks[(1, j)] = first_row(j, blocks)
+        blocks[(1, j)] = first_row(j, block)
     return dict(sorted(blocks.items()))
 
 
 def build_v_blocks(lams, f2_tilde, k: int) -> dict:
-    """All upper blocks of the diagonalizing transform in eigencoordinates.
+    """Strictly upper blocks of the diagonalizing transform in eigencoordinates.
 
     V is the Carleman matrix of the normal-form map: block (i, j) sums the
-    forest weights over ordered forests with i trees and j leaves.  Its
-    first row W_j = N_j o (F2~ V_(2,j)) sums the tree weights by root split,
-    since V_(2,j) = sum_a W_(j-a) (x) W_a.  The family is independent of
-    the truncation order beyond j.
+    forest weights over ordered forests with i trees and j leaves, and
+    every diagonal block is the identity, which is not stored.  Its first
+    row W_j = N_j o (F2~ V_(2,j)) sums the tree weights by root split,
+    since V_(2,j) = sum_a W_(j-a) (x) W_a (V_(2,2) = I).  The family is
+    independent of the truncation order beyond j.
     """
     ev = as_cvector(lams)
     f2t = np.asarray(f2_tilde, dtype=complex)
-    return _map_blocks(ev.size, k, lambda j, v: build_nl(ev, j) * (f2t @ v[(2, j)]))
+    return _map_blocks(ev.size, k, lambda j, v: build_nl(ev, j) * (f2t @ v(2, j)))
 
 
 def _shift_apply(op: np.ndarray, x: np.ndarray, n: int, level: int) -> np.ndarray:
@@ -243,18 +252,19 @@ def _shift_apply(op: np.ndarray, x: np.ndarray, n: int, level: int) -> np.ndarra
 
 
 def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
-    """All upper blocks of the inverse transform in eigencoordinates.
+    """Strictly upper blocks of the inverse transform in eigencoordinates.
 
     W = V^{-1} solves the left homological equation W A~ = D W, and A~ is
     upper block-bidiagonal with A~_(j,j) = D_j, so its first block row is
-    W_(1,j) = -N_j o (W_(1,j-1) A~_(j-1,j)): one product per block, with
-    no cancelling sum and no V.  The other blocks follow from it as V's do
-    from its first row (:func:`_map_blocks`).
+    W_(1,j) = -N_j o (W_(1,j-1) A~_(j-1,j)) (W_(1,1) = I): one product per
+    block, with no cancelling sum and no V.  The other blocks follow from
+    it as V's do from its first row (:func:`_map_blocks`); the diagonal
+    blocks are identities and are not stored.
     """
     ev, f2t = as_cvector(lams), np.asarray(f2_tilde, dtype=complex)
 
-    def first_row(j: int, w: dict) -> np.ndarray:
-        return -build_nl(ev, j) * _shift_apply(f2t.T, w[(1, j - 1)].T, ev.size, j - 1).T
+    def first_row(j: int, w) -> np.ndarray:
+        return -build_nl(ev, j) * _shift_apply(f2t.T, w(1, j - 1).T, ev.size, j - 1).T
 
     return _map_blocks(ev.size, k, first_row)
 
@@ -263,25 +273,24 @@ def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
 class CarlemanDiagonalization:
     """Explicit similarity transform of a lift generator in eigencoordinates.
 
-    Both residuals are checked block by block over every upper block
-    (i, j) of V and W = V^{-1}.  The lift A~ in eigencoordinates, never
+    ``v_blocks`` and ``vinv_blocks`` hold the strictly upper blocks
+    (i, j), i < j, of V and W = V^{-1}; their diagonal blocks are exact
+    identities and are not stored.  Both residuals are checked block by
+    block over every upper block.  The lift A~ in eigencoordinates, never
     built, has diagonal blocks D_j = diag(level_sums(eigenvalues, j)) and
     upper blocks A~_(i,i+1), applied matrix-free (:func:`_shift_apply`):
 
     * ``residual`` = sqrt(sum ||R_(i,j)||_F^2) / scale, where
-      R_(i,j) = D_i V_(i,j) - V_(i,j) D_j + A~_(i,i+1) V_(i+1,j) (the last
-      term only for i < j) is block (i, j) of A~ V - V D, and
+      R_(i,j) = D_i V_(i,j) - V_(i,j) D_j + A~_(i,i+1) V_(i+1,j) is block
+      (i, j) of A~ V - V D (zero for i = j), and
       scale = max(max_{j<=k} |level_sums(eigenvalues, j)|, max|F2~|);
     * ``inverse_residual`` = sqrt(sum ||E_(i,j)||_F^2), where
       E_(i,j) = sum_{m=i..j} V_(i,m) W_(m,j) - delta_ij I is block (i, j)
-      of V W - I.
+      of V W - I (zero for i = j).
 
     The scale's terms are entries of A~ (F2~ is A~_(1,2); at k = 1 every R
     is zero), so scale <= ||A~||_2; with ||.||_2 <= ||.||_F, each residual
     bounds ||A~ V - V D||_2 / ||A~||_2, resp. ||V W - I||_2, from above.
-    The diagonal blocks of V and W are exact identities; once that is
-    confirmed entry by entry, the check skips the products with them,
-    which are exact, so both residuals equal the full products' bitwise.
     """
 
     k: int
@@ -294,49 +303,35 @@ class CarlemanDiagonalization:
     residual: float
     inverse_residual: float
 
-    def level_entries(self, j: int) -> np.ndarray:
-        return level_sums(self.eigenvalues, j)
-
     def ambient_v_block(self, i: int, j: int) -> np.ndarray:
-        """Transform block in the original (non-eigen) coordinates."""
+        """Transform block (i, j), i < j, in the original (non-eigen) coordinates."""
         return kron_chain([self.q] * i) @ self.v_blocks[(i, j)]
 
 
-def _is_identity(block: np.ndarray) -> bool:
-    """True when ``block`` is exactly the identity matrix, entry by entry."""
-    rows, cols = block.shape
-    return rows == cols and np.array_equal(block, np.eye(rows))
-
-
-def _blockwise_residuals(lams, f2t, v: dict, w: dict) -> tuple[float, float]:
+def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, float]:
     """``residual`` and ``inverse_residual`` of :class:`CarlemanDiagonalization`.
 
-    Once every diagonal block of V and W is confirmed an exact identity,
-    R_(i,i) = E_(i,i) = 0 and E_(i,j) = W_(i,j) + sum_{i<m<j} V_(i,m) W_(m,j)
-    + V_(i,j): the full sum, in its order, less the exact products with I.
-    Any other diagonal block takes every product.
+    ``v`` and ``w`` hold the strictly upper blocks up to order k.  With
+    identity diagonal blocks, R_(i,i) = E_(i,i) = 0, R_(j-1,j) applies
+    A~_(j-1,j) to an identity, and E_(i,j) = W_(i,j) + sum_{i<m<j}
+    V_(i,m) W_(m,j) + V_(i,j): the full sum, in its order, less the exact
+    products with I, so both residuals equal the full products' bitwise.
     """
-    n, k = len(lams), max(j for _, j in v)
+    n = len(lams)
     d = {j: level_sums(lams, j) for j in range(1, k + 1)}
     scale = max(max(np.abs(dj).max() for dj in d.values()), np.abs(f2t).max(), 1e-300)
-    identity = all(_is_identity(b[(j, j)]) for b in (v, w) for j in range(1, k + 1))
     similarity, inverse = [], []
-    for (i, j), vij in v.items():
-        if identity and i == j:
-            similarity.append(0.0)
-            inverse.append(0.0)
-            continue
-        r = d[i][:, None] * vij - vij * d[j][None, :]
-        if i < j:
-            r += _shift_apply(f2t, v[(i + 1, j)], n, i)
-        if identity:
+    for i in range(1, k + 1):
+        # the zero diagonal terms keep the row-major order of the norms' sums
+        similarity.append(0.0)
+        inverse.append(0.0)
+        for j in range(i + 1, k + 1):
+            vij = v[(i, j)]
+            below = v[(i + 1, j)] if i + 1 < j else np.eye(n**j, dtype=complex)
+            r = d[i][:, None] * vij - vij * d[j][None, :] + _shift_apply(f2t, below, n, i)
             e = sum((v[(i, m)] @ w[(m, j)] for m in range(i + 1, j)), w[(i, j)]) + vij
-        else:
-            e = sum(v[(i, m)] @ w[(m, j)] for m in range(i, j + 1))
-            if i == j:
-                e[np.diag_indices_from(e)] -= 1.0
-        similarity.append(np.linalg.norm(r))
-        inverse.append(np.linalg.norm(e))
+            similarity.append(np.linalg.norm(r))
+            inverse.append(np.linalg.norm(e))
     return float(np.linalg.norm(similarity) / scale), float(np.linalg.norm(inverse))
 
 
@@ -353,7 +348,7 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     lams, q, f2t = spec.dec.eigenvalues, spec.dec.right_vectors, spec.f2_tilde
     v_blocks = build_v_blocks(lams, f2t, k)
     vinv_blocks = build_vinv_blocks(lams, f2t, k)
-    residual, inverse_residual = _blockwise_residuals(lams, f2t, v_blocks, vinv_blocks)
+    residual, inverse_residual = _blockwise_residuals(lams, f2t, v_blocks, vinv_blocks, k)
     return CarlemanDiagonalization(
         k=k,
         n=sys.n,
@@ -368,20 +363,17 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
 
 
 def block_norm(block: np.ndarray) -> float:
-    """Spectral norm of one transform block, from its Gram matrix.
+    """Spectral norm of one strictly upper transform block, from its Gram matrix.
 
-    An exact identity (every diagonal block of V and V^{-1}) is 1.0 with
-    no arithmetic.  Any other block B is scaled by the power of two 2^e
-    that brings its largest |entry| into [1/2, 1), so G = (2^e B)(2^e B)^H
-    can neither underflow nor overflow and the scaling rounds nothing;
-    then ||B||_2 = 2^-e sqrt(lambda_max(G)).  For an upper block (i, j),
-    G is the smaller Gram matrix, n^i x n^i.  The top eigenvalue of a
-    Hermitian matrix is perturbed by at most its roundoff times ||G||_2
-    (Golub & Van Loan, Matrix Computations, 8.1), so the norm agrees with
-    the SVD's to within 1e-13 relative.
+    The block B is scaled by the power of two 2^e that brings its largest
+    |entry| into [1/2, 1), so G = (2^e B)(2^e B)^H can neither underflow
+    nor overflow and the scaling rounds nothing; then
+    ||B||_2 = 2^-e sqrt(lambda_max(G)).  For an upper block (i, j), G is
+    the smaller Gram matrix, n^i x n^i.  The top eigenvalue of a Hermitian
+    matrix is perturbed by at most its roundoff times ||G||_2 (Golub &
+    Van Loan, Matrix Computations, 8.1), so the norm agrees with the SVD's
+    to within 1e-13 relative.
     """
-    if _is_identity(block):
-        return 1.0
     # min keeps 2^e finite when the largest entry is subnormal
     e = min(-math.frexp(float(np.abs(block).max()))[1], 1022)
     scaled = block * 2.0**e
@@ -392,36 +384,37 @@ def block_norm(block: np.ndarray) -> float:
 def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dict:
     """Measured block norms against the forest-counting bounds.
 
-    Every block of both transform families must obey
+    Every upper block (i, j), i <= j, of both transform families must obey
     C(j-1, i-1) (4 s ||F2~|| / Delta)^(j-i); violations would indicate an
     implementation bug, so they are reported rather than raised.  With
     ``delta`` None (no no-resonance gap) the norms are reported alone:
-    every row has bound None and passes.  Norms come from
-    :func:`block_norm`: 1.0 for the exact-identity diagonal blocks, the
-    smaller Gram matrix's top eigenvalue for the others, within 1e-13
-    relative of the SVD.
+    every row has bound None and passes.  The rows come in row-major block
+    order, V before V^{-1}.  The implicit identity diagonal blocks have
+    norm 1.0 and bound 1.0; the other norms come from :func:`block_norm`,
+    within 1e-13 relative of the SVD.
     """
     s = column_sparsity(diag.f2_tilde)
     f2n = float(np.linalg.norm(diag.f2_tilde, 2))
     base = None if delta is None else 4.0 * s * f2n / delta
     rows = []
     all_ok = True
-    for (i, j) in sorted(diag.v_blocks):
-        bound = None if base is None else float(comb(j - 1, i - 1) * base ** (j - i))
-        for family, blocks in (("v", diag.v_blocks), ("vinv", diag.vinv_blocks)):
-            norm = block_norm(blocks[(i, j)])
-            ok = bound is None or norm <= bound * (1.0 + 1e-9)
-            all_ok &= ok
-            rows.append(
-                {
-                    "family": family,
-                    "i": i,
-                    "j": j,
-                    "norm": norm,
-                    "bound": bound,
-                    "ok": ok,
-                }
-            )
+    for i in range(1, diag.k + 1):
+        for j in range(i, diag.k + 1):
+            bound = None if base is None else float(comb(j - 1, i - 1) * base ** (j - i))
+            for family, blocks in (("v", diag.v_blocks), ("vinv", diag.vinv_blocks)):
+                norm = 1.0 if i == j else block_norm(blocks[(i, j)])
+                ok = bound is None or norm <= bound * (1.0 + 1e-9)
+                all_ok &= ok
+                rows.append(
+                    {
+                        "family": family,
+                        "i": i,
+                        "j": j,
+                        "norm": norm,
+                        "bound": bound,
+                        "ok": ok,
+                    }
+                )
     return {"sparsity": s, "rows": rows, "all_ok": all_ok}
 
 
@@ -502,7 +495,7 @@ def shift_oscillating_f2(sys: QuadraticSystem, omega: float) -> ShiftedSystem:
         raise WrongSignError("frequency must be positive")
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("oscillating-term shift requires F0 = 0")
-    lams = np.linalg.eigvals(sys.f1)
+    lams = sys.spectrum.dec.eigenvalues
     tol = 1e-10 * max(_scale(lams), 1.0)
     if np.any(lams.real > tol):
         raise WrongSignError("some eigenvalue has positive real part")
@@ -763,9 +756,7 @@ def find_siegel_split(lams, f2_tilde, tol: float = 1e-10):
                     return False
         return True
 
-    import itertools as _it
-
-    for bits in _it.product((True, False), repeat=len(free)):
+    for bits in product((True, False), repeat=len(free)):
         s_plus = frozenset(plus_only) | {
             f for f, bit in zip(free, bits) if bit
         }

@@ -15,6 +15,11 @@ oracle for :func:`carleman_lab.forests.fusion_sum`: it walks all
 k!/(j-1)! fusion paths.  :func:`blockwise_residuals_full` is the residual
 check of :func:`carleman_lab.nonresonant.diagonalize_carleman` with every
 product by a diagonal block taken in full.
+
+The oracles return full upper families, diagonal blocks included, while
+production stores only the strictly upper blocks: :func:`strictly_upper`
+drops an oracle's diagonal after checking it is exactly the identity,
+and :func:`with_identities` puts the identity diagonal back.
 """
 
 from __future__ import annotations
@@ -273,9 +278,24 @@ def fusion_sum_by_paths(j: int, k: int) -> Fraction:
     return total
 
 
+def strictly_upper(blocks: dict) -> dict:
+    """The blocks (i, j), i < j, of a full family, after checking its diagonal is exactly I."""
+    for (i, j), block in blocks.items():
+        if i == j:
+            assert np.array_equal(block, np.eye(len(block))), (i, j)
+    return {key: block for key, block in blocks.items() if key[0] < key[1]}
+
+
+def with_identities(blocks: dict, n: int, k: int) -> dict:
+    """A strictly upper block family up to order k with its identity diagonal put back."""
+    full = {**blocks, **{(j, j): np.eye(n**j, dtype=complex) for j in range(1, k + 1)}}
+    return dict(sorted(full.items()))
+
+
 def blockwise_residuals_full(lams, f2t, v: dict, w: dict) -> tuple[float, float]:
     """Oracle for ``nonresonant._blockwise_residuals``: every product formed.
 
+    ``v`` and ``w`` are full upper families (:func:`with_identities`);
     R_(i,j) = D_i V_(i,j) - V_(i,j) D_j + A~_(i,i+1) V_(i+1,j) and
     E_(i,j) = sum_{m=i..j} V_(i,m) W_(m,j) - delta_ij I for every upper
     block, including the products with the diagonal blocks.

@@ -298,6 +298,30 @@ class TestDiagonalize:
         assert "1,5" in data["blocks"]
         assert data["blocks"]["1,5"]["norm"] <= data["blocks"]["1,5"]["bound"]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_orders_one_and_two_print_diagonal_rows(self, tmp_path, k):
+        out = tmp_path / "diag.json"
+        argv = ["diagonalize", "--fixture", "scalar", "--param", "a=-1", "--param", "b=0.5"]
+        assert run([*argv, "--k", str(k), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        unit = {"bound": 1.0, "norm": 1.0}
+        keys = [f"{i},{j}" for i in range(1, k + 1) for j in range(i, k + 1)]
+        for family in ("blocks", "inverse_blocks"):
+            assert list(data[family]) == keys
+            assert all(data[family][f"{i},{i}"] == unit for i in range(1, k + 1))
+        if k == 1:
+            assert data == {
+                "blocks": {"1,1": unit},
+                "delta": data["delta"],
+                "inverse_blocks": {"1,1": unit},
+                "inverse_residual": 0.0,
+                "residual": 0.0,
+                "sparsity": 1,
+            }
+        else:
+            # W_2 = N_2 o F2~ = b / a for the scalar system
+            assert data["blocks"]["1,2"]["norm"] == data["inverse_blocks"]["1,2"]["norm"] == 0.5
+
     def test_resonant_exit_code(self, tmp_path):
         sys_file = tmp_path / "sys.json"
         resonant = QuadraticSystem(

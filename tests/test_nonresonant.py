@@ -54,6 +54,8 @@ from forest_oracle import (
     v_blocks_by_composition,
     vinv_blocks_by_composition,
     vinv_blocks_by_forest,
+    strictly_upper,
+    with_identities,
 )
 
 
@@ -179,7 +181,7 @@ class TestVBlocks:
         lams = dec.eigenvalues
         f2t = dec.inverse_vectors @ sys.f2 @ np.kron(dec.right_vectors, dec.right_vectors)
         k = 4
-        blocks = build_v_blocks(lams, f2t, k)
+        blocks = with_identities(build_v_blocks(lams, f2t, k), 2, k)
         cm = build_blocks(
             QuadraticSystem(f0=np.zeros(2), f1=np.diag(lams), f2=f2t), k
         )
@@ -205,11 +207,9 @@ class TestVBlocks:
             (build_vinv_blocks, vinv_blocks_by_composition, 1e-12),
         ):
             blocks = build(lams, f2t, k)
-            expected = oracle(lams, f2t, k)
+            expected = strictly_upper(oracle(lams, f2t, k))
             assert list(blocks) == sorted(expected)
             for (i, j), block in expected.items():
-                if i == j:
-                    assert np.array_equal(blocks[(i, j)], np.eye(n**i)), (i, j)
                 scale = np.abs(block).max()
                 assert np.abs(blocks[(i, j)] - block).max() <= rtol * scale, (i, j)
 
@@ -330,7 +330,7 @@ class TestVInverseBlocks:
         monkeypatch.setattr(nonresonant, "build_v_blocks", refuse)
         lams, f2t = self._data()
         w = build_vinv_blocks(lams, f2t, 4)
-        assert sorted(w) == [(i, j) for i in range(1, 5) for j in range(i, 5)]
+        assert sorted(w) == [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
 
     def _data(self, seed=1):
         rng = np.random.default_rng(seed)
@@ -365,7 +365,7 @@ class TestVInverseBlocks:
             lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
             f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
             w = build_vinv_blocks(lams, f2t, k)
-            oracle = vinv_blocks_by_forest(lams, f2t, k)
+            oracle = strictly_upper(vinv_blocks_by_forest(lams, f2t, k))
             assert sorted(w) == sorted(oracle)
             for key, block in oracle.items():
                 scale = np.abs(block).max()
@@ -374,9 +374,9 @@ class TestVInverseBlocks:
     def test_block_product_is_identity(self):
         lams, f2t = self._data(5)
         k = 4
-        v = build_v_blocks(lams, f2t, k)
-        w = build_vinv_blocks(lams, f2t, k)
         n = 2
+        v = with_identities(build_v_blocks(lams, f2t, k), n, k)
+        w = with_identities(build_vinv_blocks(lams, f2t, k), n, k)
         for i in range(1, k + 1):
             for j in range(i, k + 1):
                 acc = np.zeros((n**i, n**j), dtype=complex)
@@ -433,12 +433,10 @@ class TestDiagonalize:
             f0=np.zeros(2), f1=np.diag([-1.0, -2.5]), f2=np.zeros((2, 4))
         )
         diag = diagonalize_carleman(sys, 3)
-        for (i, j), block in diag.v_blocks.items():
-            if i == j:
-                assert np.array_equal(block, np.eye(2**i))
-            else:
-                assert np.count_nonzero(block) == 0
-        d = diag.level_entries(2)
+        assert list(diag.v_blocks) == [(1, 2), (1, 3), (2, 3)]
+        for block in diag.v_blocks.values():
+            assert np.count_nonzero(block) == 0
+        d = level_sums(diag.eigenvalues, 2)
         assert np.allclose(d, [-2.0, -3.5, -3.5, -5.0])
 
     def test_second_layer_structure(self):
@@ -481,11 +479,11 @@ class TestDiagonalize:
         dense = []
         for blocks in (v, w):
             out = np.zeros_like(a)
-            for (i, j), b in blocks.items():
+            for (i, j), b in with_identities(blocks, n, k).items():
                 out[offsets[i - 1] : offsets[i], offsets[j - 1] : offsets[j]] = b
             dense.append(out)
         dv, dw = dense
-        d = np.concatenate([diag.level_entries(j) for j in range(1, k + 1)])
+        d = np.concatenate([level_sums(diag.eigenvalues, j) for j in range(1, k + 1)])
         similarity = np.linalg.norm(a @ dv - dv * d[None, :], 2) / np.linalg.norm(a, 2)
         inverse = np.linalg.norm(dv @ dw - np.eye(a.shape[0]), 2)
         return similarity, inverse
@@ -508,30 +506,33 @@ class TestDiagonalize:
             }
 
         v, w = perturbed(diag.v_blocks), perturbed(diag.vinv_blocks)
-        blockwise = _blockwise_residuals(diag.eigenvalues, diag.f2_tilde, v, w)
+        blockwise = _blockwise_residuals(diag.eigenvalues, diag.f2_tilde, v, w, k)
         similarity, inverse = self._dense_oracle(diag, v, w)
         assert 1e-9 < similarity <= blockwise[0]
         assert 1e-9 < inverse <= blockwise[1]
 
-    @pytest.mark.parametrize("n,k", [(1, 10), (2, 7), (3, 6), (4, 4)])
+    @pytest.mark.parametrize(
+        "n,k", [(1, 10), (2, 7), (3, 6), (4, 4), (1, 1), (3, 1), (1, 2), (3, 2)]
+    )
     def test_residuals_match_full_products_bitwise(self, n, k):
+        # k = 1 stores no block; at k = 2 the first row of V needs V_(2,2) = I
         diag = diagonalize_carleman(random_poincare_system(40 + n, n=n), k)
-        args = (diag.eigenvalues, diag.f2_tilde, diag.v_blocks, diag.vinv_blocks)
-        assert _blockwise_residuals(*args) == blockwise_residuals_full(*args)
-        assert (diag.residual, diag.inverse_residual) == blockwise_residuals_full(*args)
+        upper = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        assert list(diag.v_blocks) == list(diag.vinv_blocks) == upper
+        full = [with_identities(b, n, k) for b in (diag.v_blocks, diag.vinv_blocks)]
+        expected = blockwise_residuals_full(diag.eigenvalues, diag.f2_tilde, *full)
+        args = (diag.eigenvalues, diag.f2_tilde, diag.v_blocks, diag.vinv_blocks, k)
+        assert _blockwise_residuals(*args) == expected
+        assert (diag.residual, diag.inverse_residual) == expected
 
-    @pytest.mark.parametrize("family", ["v", "vinv"])
-    def test_perturbed_diagonal_block_takes_full_products(self, family):
-        diag = diagonalize_carleman(random_poincare_system(41, n=2), 4)
-        v, w = dict(diag.v_blocks), dict(diag.vinv_blocks)
-        blocks = v if family == "v" else w
-        blocks[(2, 2)] = blocks[(2, 2)].copy()
-        blocks[(2, 2)][0, 1] += 1e-12
-        got = _blockwise_residuals(diag.eigenvalues, diag.f2_tilde, v, w)
-        assert got == blockwise_residuals_full(diag.eigenvalues, diag.f2_tilde, v, w)
-        assert 5e-13 < got[1] < 1e-11
-        # an identity diagonal block of V leaves R_(2,2) = D_2 - D_2 = 0
-        assert (got[0] > diag.residual) == (family == "v")
+    def test_stores_no_diagonal_block(self):
+        n, k = 3, 6
+        diag = diagonalize_carleman(random_poincare_system(46, n=n), k)
+        upper = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        assert list(diag.v_blocks) == list(diag.vinv_blocks) == upper
+        stored = sum(b.nbytes for f in (diag.v_blocks, diag.vinv_blocks) for b in f.values())
+        # 16 bytes per complex entry, n^i x n^j entries per block: 9.5 MB
+        assert stored == 2 * 16 * sum(n ** (i + j) for i, j in upper)
 
     def test_perturbed_transform_fails_the_check(self, monkeypatch, tmp_path):
         real = nonresonant.build_v_blocks
@@ -635,22 +636,17 @@ class TestBlockNorm:
 
     def test_identity_blocks_take_no_svd(self, monkeypatch):
         diag = diagonalize_carleman(random_poincare_system(8, n=3), 4)
-        diagonal = [
-            blocks[(i, j)]
-            for blocks in (diag.v_blocks, diag.vinv_blocks)
-            for (i, j) in blocks
-            if i == j
-        ]
-        assert all(np.array_equal(b, np.eye(len(b))) for b in diagonal)
         seen = self.gram_inputs(monkeypatch)
-        assert block_norm(np.eye(27, dtype=complex)) == 1.0
-        assert not seen
         report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
         # one Gram matrix per off-diagonal block, n^i x n^i for block (i, j)
         assert [a.shape for a in seen] == [
             (3**row["i"],) * 2 for row in report["rows"] if row["i"] < row["j"]
         ]
-        assert all(row["norm"] == 1.0 for row in report["rows"] if row["i"] == row["j"])
+        diagonal = [row for row in report["rows"] if row["i"] == row["j"]]
+        assert [(row["family"], row["i"]) for row in diagonal] == [
+            (family, i) for i in range(1, 5) for family in ("v", "vinv")
+        ]
+        assert all(row["norm"] == row["bound"] == 1.0 for row in diagonal)
 
     def test_perturbed_identity_takes_gram_kernel(self, monkeypatch):
         block = np.eye(9, dtype=complex)
@@ -665,10 +661,9 @@ class TestBlockNorm:
     def test_gram_norms_match_svd(self, n, k):
         diag = diagonalize_carleman(random_poincare_system(40 + n, n=n), k)
         for blocks in (diag.v_blocks, diag.vinv_blocks):
-            for (i, j), block in blocks.items():
-                if i < j:
-                    expected = np.linalg.norm(block, 2)
-                    assert block_norm(block) == pytest.approx(expected, rel=1e-13, abs=0)
+            for block in blocks.values():
+                expected = np.linalg.norm(block, 2)
+                assert block_norm(block) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_zero_block_is_zero(self):
         assert block_norm(np.zeros((3, 9), dtype=complex)) == 0.0
@@ -701,7 +696,9 @@ class TestBlockNorm:
         data = json.loads(out.read_text())
         diag = diagonalize_carleman(system_from_json(text), k)
         for key, blocks in (("blocks", diag.v_blocks), ("inverse_blocks", diag.vinv_blocks)):
-            assert len(data[key]) == len(blocks)
+            assert len(data[key]) == len(blocks) + k
+            for i in range(1, k + 1):
+                assert data[key][f"{i},{i}"]["norm"] == 1.0
             for (i, j), block in blocks.items():
                 row = data[key][f"{i},{j}"]
                 expected = float(np.linalg.norm(block, 2))
