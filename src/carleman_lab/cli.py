@@ -319,7 +319,7 @@ def cmd_scan(args) -> int:
                 x2max = fix.extras["x2_max_closed_form"]
                 x_max = float(np.hypot(x1, x2max))
                 try:
-                    rdel = conservative.r_delta(fix.system, x_max, np.eye(2))
+                    rdel = conservative.r_delta(fix.system, x_max)
                 except CarlemanLabError:
                     rdel = np.inf
                 rp_red = fixtures.reduced_conservative_rp(a, b, x1, x2)
@@ -330,15 +330,7 @@ def cmd_scan(args) -> int:
                     f"{_fmt(member)},{_fmt(certified)}"
                 )
             else:
-                rows = stability.region_scan(
-                    lambda p1, p2: fixtures.fixture(
-                        args.fixture, **{**fixed, k1: float(p1), k2: float(p2)}
-                    ).system,
-                    [(v1, v2)],
-                    fix.x0,
-                    budget=args.budget,
-                )
-                row = rows[0]
+                row = stability.scan_point(fix.system, fix.x0, budget=args.budget)
                 lines.append(
                     f"{_fmt(v1)},{_fmt(v2)},{_fmt(row['r_mu'])},"
                     f"{_fmt(row['r_alpha'])},{_fmt(row['r_p_best'])},"
@@ -484,10 +476,9 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         UnknownFixtureError,
         ParamOutOfRangeError,
+        DimensionCapError,
+        CapExceededError,
     ) as exc:
-        print(f"input error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT
-    except (DimensionCapError, CapExceededError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except CarlemanLabError as exc:

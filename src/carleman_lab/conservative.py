@@ -31,7 +31,7 @@ from .errors import (
     ZeroDriveError,
     ZeroNonlinearityError,
 )
-from .linalg import as_cmatrix, as_cvector, kron2, kron_pair, kron_square, spectral_norm
+from .linalg import as_cmatrix, as_cvector, kron2, kron_pair
 from .system import QuadraticSystem, _dormand_prince
 
 DETECTION_TOL_DEFAULT = 1e-9
@@ -54,15 +54,13 @@ class InvariantStructure:
     violations: list = field(default_factory=list)
 
 
-def detect_invariants(
-    sys: QuadraticSystem, tol: float = DETECTION_TOL_DEFAULT
-) -> InvariantStructure:
-    """Find left eigenvectors of F1 on the imaginary axis that survive F2/F0 tests."""
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError(f"detection tolerance {tol} outside [1e-12, 1e-4]")
-    dec = sys.spectrum.dec
-    if not dec.diagonalizable:
-        raise NonDiagonalizableError("linear part is numerically defective")
+def detect_invariants(sys: QuadraticSystem) -> InvariantStructure:
+    """Find left eigenvectors of F1 on the imaginary axis that survive F2/F0 tests.
+
+    Marginality and both annihilation tests use ``DETECTION_TOL_DEFAULT``.
+    """
+    tol = DETECTION_TOL_DEFAULT
+    dec = sys.spectrum.diagonalizable().dec
     f2_scale = max(np.linalg.norm(sys.f2, 2), 0.0)
     f0_scale = max(np.linalg.norm(sys.f0), 0.0)
     conserved, oscillating, violations = [], [], []
@@ -93,10 +91,16 @@ def detect_invariants(
     return InvariantStructure(conserved, oscillating, tol, violations)
 
 
-def real_spectral_gap(f1, tol: float = DETECTION_TOL_DEFAULT) -> float:
-    """Decay rate of the slowest strictly dissipative mode."""
-    a = as_cmatrix(f1)
-    lams = np.linalg.eigvals(a)
+def real_spectral_gap(lams) -> float:
+    """Decay rate of the slowest strictly dissipative mode among the eigenvalues ``lams``.
+
+    Eigenvalues with |Re(lambda)| <= ``DETECTION_TOL_DEFAULT`` count as
+    marginal; one with a larger positive real part raises
+    :class:`PositiveRealPartError`, and no strictly dissipative one raises
+    :class:`NoDissipativeModeError`.
+    """
+    tol = DETECTION_TOL_DEFAULT
+    lams = as_cvector(lams)
     if np.any(lams.real > tol):
         raise PositiveRealPartError(
             f"eigenvalue with real part {lams.real.max():.3e} > {tol}"
@@ -107,22 +111,18 @@ def real_spectral_gap(f1, tol: float = DETECTION_TOL_DEFAULT) -> float:
     return float(-dissipative.max())
 
 
-def transformed_f2_norm(sys: QuadraticSystem, q) -> float:
-    """|| Q^{-1} F2 (Q (x) Q) ||, the nonlinearity strength in the eigenbasis."""
-    qm = as_cmatrix(q)
-    try:
-        qinv = np.linalg.inv(qm)
-    except np.linalg.LinAlgError as exc:
-        raise SingularQError(str(exc)) from exc
-    return float(spectral_norm(qinv @ sys.f2 @ kron_square(qm)))
+def r_delta(sys: QuadraticSystem, x_max_tilde: float) -> float:
+    """Gap-weighted R-number 2e ||x_max~|| ||Q^{-1} F2 Q^(2)|| / delta.
 
-
-def r_delta(sys: QuadraticSystem, x_max_tilde: float, q) -> float:
-    """Gap-weighted R-number 2e ||x_max~|| ||Q^{-1} F2 Q^(2)|| / delta."""
+    Q, ||Q^{-1} F2 (Q (x) Q)|| and the real spectral gap delta all come
+    from the system's :class:`~carleman_lab.system.Spectrum`; a
+    numerically defective F1 raises :class:`NonDiagonalizableError`.
+    """
     if not x_max_tilde > 0:
         raise ValueError("x_max_tilde must be positive")
-    delta = real_spectral_gap(sys.f1)
-    return float(2.0 * math.e * x_max_tilde * transformed_f2_norm(sys, q) / delta)
+    spec = sys.spectrum.diagonalizable()
+    delta = real_spectral_gap(spec.dec.eigenvalues)
+    return float(2.0 * math.e * x_max_tilde * spec.f2_tilde_norm / delta)
 
 
 def estimate_x_max_tilde(
@@ -182,7 +182,6 @@ def certify_conservative(
     tol: float = 1e-12,
     p: float = 1.0,
     tight_first_block: bool = False,
-    detection_tol: float = DETECTION_TOL_DEFAULT,
 ) -> ConservativeCertificate:
     """Run the full gap-certification pipeline on one system.
 
@@ -207,10 +206,11 @@ def certify_conservative(
             tight_first_block=tight_first_block,
         )
 
-    spec = sys.spectrum
-    if not spec.dec.diagonalizable:
-        return refuse("linear part is numerically defective")
-    inv = detect_invariants(sys, tol=detection_tol)
+    try:
+        spec = sys.spectrum.diagonalizable()
+    except NonDiagonalizableError as exc:
+        return refuse(str(exc))
+    inv = detect_invariants(sys)
     if inv.violations:
         lam = inv.violations[0]["eigenvalue"]
         return refuse(
@@ -218,7 +218,7 @@ def certify_conservative(
             "not a conserved/oscillating quantity"
         )
     try:
-        delta = real_spectral_gap(sys.f1, tol=detection_tol)
+        delta = real_spectral_gap(spec.dec.eigenvalues)
     except (PositiveRealPartError, NoDissipativeModeError) as exc:
         return refuse(str(exc))
     q = spec.dec.right_vectors
@@ -238,7 +238,7 @@ def certify_conservative(
                        "amplitude undefined"),
                 delta=delta, x_max_tilde=x_max, gamma0=gamma0, q=q,
             )
-        f0_t = float(np.linalg.norm(spec.dec.inverse_vectors @ sys.f0))
+        f0_t = spec.f0_tilde_norm
         upsilon = math.sqrt(f0_t / f2_t)
         value = (
             2.0
@@ -334,8 +334,7 @@ def embed_driving(
             raise ZeroNonlinearityError(
                 "optimal ancilla amplitude undefined for F2 = 0"
             )
-        f0_t = float(np.linalg.norm(spec.dec.inverse_vectors @ sys.f0))
-        upsilon = math.sqrt(f0_t / f2_t)
+        upsilon = math.sqrt(spec.f0_tilde_norm / f2_t)
     n = sys.n
     m = n + 1
     g1 = np.zeros((m, m), dtype=complex)

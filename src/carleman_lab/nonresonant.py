@@ -54,6 +54,14 @@ def _scale(lams: np.ndarray) -> float:
     return float(np.max(np.abs(lams))) if lams.size else 0.0
 
 
+def _require_nonpositive(lams: np.ndarray) -> float:
+    """Roundoff slack on Re(lambda) <= 0, after refusing a spectrum that exceeds it."""
+    tol = 1e-10 * max(_scale(lams), 1.0)
+    if np.any(lams.real > tol):
+        raise WrongSignError("some eigenvalue has positive real part")
+    return tol
+
+
 def _alpha_vector(combo, n: int) -> tuple:
     alpha = [0] * n
     for idx in combo:
@@ -339,9 +347,7 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     """Build and verify the explicit diagonalization of the order-k lift, capped as the lift is."""
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("diagonalization requires a driftless system")
-    spec = sys.spectrum
-    if not spec.dec.diagonalizable:
-        raise NonDiagonalizableError("linear part is numerically defective")
+    spec = sys.spectrum.diagonalizable()
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     check_cap(sum(sys.n**j for j in range(1, k + 1)))
@@ -420,9 +426,7 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
 
 def r_big_delta(sys: QuadraticSystem, x_max_tilde: float, delta: float) -> float:
     """Gap-weighted R-number 8 s ||F2~|| ||x_max~|| / Delta for Poincare spectra."""
-    spec = sys.spectrum
-    if not spec.dec.diagonalizable:
-        raise NonDiagonalizableError("linear part is numerically defective")
+    spec = sys.spectrum.diagonalizable()
     if classify_domain(spec.dec.eigenvalues) != POINCARE:
         raise NotPoincareError("spectrum does not lie in the Poincare domain")
     if not delta > 0:
@@ -496,9 +500,7 @@ def shift_oscillating_f2(sys: QuadraticSystem, omega: float) -> ShiftedSystem:
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("oscillating-term shift requires F0 = 0")
     lams = sys.spectrum.dec.eigenvalues
-    tol = 1e-10 * max(_scale(lams), 1.0)
-    if np.any(lams.real > tol):
-        raise WrongSignError("some eigenvalue has positive real part")
+    tol = _require_nonpositive(lams)
     if np.any(np.abs(lams.imag) > omega / 4.0 + tol):
         raise FrequencyTooSmallError(
             f"imaginary parts reach {np.abs(lams.imag).max():.3e} > omega/4"
@@ -652,12 +654,8 @@ def _uncertified(variant: str, reason: str) -> NonresonantCertificate:
 
 def _checked_spectrum(sys: QuadraticSystem) -> Spectrum:
     """The system's spectrum, refused when defective or with Re(lambda) > 0."""
-    spec = sys.spectrum
-    if not spec.dec.diagonalizable:
-        raise NonDiagonalizableError("linear part is numerically defective")
-    lams = spec.dec.eigenvalues
-    if np.any(lams.real > 1e-10 * max(_scale(lams), 1.0)):
-        raise WrongSignError("some eigenvalue has positive real part")
+    spec = sys.spectrum.diagonalizable()
+    _require_nonpositive(spec.dec.eigenvalues)
     return spec
 
 
@@ -695,7 +693,6 @@ def certify_poincare(
     sys: QuadraticSystem,
     x0,
     horizon: float = 10.0,
-    order_cap: int = 6,
     tol: float = 1e-12,
 ) -> NonresonantCertificate:
     """Gap-based certificate for driftless systems with Poincare spectra."""
@@ -704,7 +701,7 @@ def certify_poincare(
         return _uncertified(variant, "requires a driftless system")
     try:
         spec = _checked_spectrum(sys)
-        delta = delta_gap_poincare(spec.dec.eigenvalues, order_cap=order_cap)
+        delta = delta_gap_poincare(spec.dec.eigenvalues)
     except (
         NonDiagonalizableError,
         NotPoincareError,
@@ -772,7 +769,6 @@ def certify_siegel_split(
     sys: QuadraticSystem,
     x0,
     horizon: float = 10.0,
-    order_cap: int = 6,
     tol: float = 1e-12,
 ) -> NonresonantCertificate:
     """Certificate for Siegel spectra that decouple into two Poincare halves."""
@@ -791,9 +787,7 @@ def certify_siegel_split(
     try:
         for part in (s_plus, s_minus):
             if part:
-                deltas.append(
-                    delta_gap_poincare(spec.dec.eigenvalues[list(part)], order_cap=order_cap)
-                )
+                deltas.append(delta_gap_poincare(spec.dec.eigenvalues[list(part)]))
     except (NotPoincareError, ResonanceFoundError) as exc:
         return _uncertified(variant, str(exc))
     delta = float(min(deltas))
@@ -810,9 +804,7 @@ def certify_oscillating(
     """Certificate for an exp(i w t)-modulated quadratic term via the shift."""
     variant = "oscillating_f2"
     try:
-        spec = shift_oscillating_f2(sys, omega).shifted.spectrum
-        if not spec.dec.diagonalizable:
-            raise NonDiagonalizableError("linear part is numerically defective")
+        spec = shift_oscillating_f2(sys, omega).shifted.spectrum.diagonalizable()
     except (
         NonDiagonalizableError,
         WrongSignError,

@@ -31,12 +31,11 @@ from .linalg import (
     kron_square,
     log_norm,
     solve_lyapunov,
-    spectral_abscissa,
     spectral_norm,
 )
 from .system import QuadraticSystem, rescale
 
-BLOCH_GRID_DEFAULT = 21
+BLOCH_GRID_RESOLUTION = 21
 GAMMA_GRID_POINTS = 200
 
 
@@ -60,15 +59,12 @@ def r_mu(sys: QuadraticSystem, x0) -> float:
 def r_alpha(sys: QuadraticSystem, x0) -> float:
     """R-number of the spectral abscissa, with norms taken in the eigenbasis."""
     v = _check_x0(x0)
-    spec = sys.spectrum
-    if not spec.dec.diagonalizable:
-        raise NonDiagonalizableError("linear part is numerically defective")
-    alpha = float(spec.dec.eigenvalues[0].real)
+    spec = sys.spectrum.diagonalizable()
+    alpha = spec.abscissa
     if alpha >= 0:
         return np.inf
     nx = np.linalg.norm(spec.dec.inverse_vectors @ v)
-    f0_t = spec.dec.inverse_vectors @ sys.f0
-    return float((spec.f2_tilde_norm * nx + np.linalg.norm(f0_t) / nx) / (-alpha))
+    return float((spec.f2_tilde_norm * nx + spec.f0_tilde_norm / nx) / (-alpha))
 
 
 def r_p(sys: QuadraticSystem, x0, p) -> float:
@@ -368,9 +364,7 @@ def _p_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     return ell @ ell.conj().T
 
 
-def optimize_rp(
-    sys: QuadraticSystem, x0, budget: int = 2000, bloch_resolution: int = BLOCH_GRID_DEFAULT
-) -> StabilityCertificate:
+def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertificate:
     """Search the Lyapunov cone for the witness with the smallest R_P.
 
     For two-dimensional systems the unit-trace witnesses form a ball
@@ -382,23 +376,22 @@ def optimize_rp(
     never loses to R_mu or R_alpha.
     """
     v = _check_x0(x0)
-    alpha = spectral_abscissa(sys.f1)
+    spec = sys.spectrum
+    alpha = spec.abscissa
     mu = log_norm(sys.f1)
-    if alpha >= 0:
+
+    def uncertified(reason: str) -> StabilityCertificate:
         return StabilityCertificate(
-            criterion="R_P",
-            value=np.inf,
-            alpha=alpha,
-            mu=mu,
-            certified=False,
-            reason="spectral abscissa >= 0: not a stable system",
+            criterion="R_P", value=np.inf, alpha=alpha, mu=mu, certified=False, reason=reason
         )
+
+    if alpha >= 0:
+        return uncertified("spectral abscissa >= 0: not a stable system")
     n = sys.n
 
     seeds: list[np.ndarray] = [np.eye(n, dtype=complex)]
-    dec = sys.spectrum.dec
-    if dec.diagonalizable:
-        w = dec.inverse_vectors
+    if spec.dec.diagonalizable:
+        w = spec.dec.inverse_vectors
         seeds.append(w.conj().T @ w)
     try:
         seeds.append(solve_lyapunov(sys.f1))
@@ -416,7 +409,7 @@ def optimize_rp(
             best_val, best_p = val, p0
 
     if n == 2:
-        grid = _bloch_matrices(bloch_resolution)
+        grid = _bloch_matrices(BLOCH_GRID_RESOLUTION)
         vals = _planar_rp(sys, v, *_bloch_weight(grid.T))
         idx = int(np.argmin(vals))
         best_r = None
@@ -488,14 +481,7 @@ def optimize_rp(
                 best_p = _p_from_params(res.x, n)
 
     if best_p is None:
-        return StabilityCertificate(
-            criterion="R_P",
-            value=np.inf,
-            alpha=alpha,
-            mu=mu,
-            certified=False,
-            reason="no positive-definite witness evaluated successfully",
-        )
+        return uncertified("no positive-definite witness evaluated successfully")
     return _certificate_from_p(sys, v, best_p, best_val, alpha, mu)
 
 
@@ -521,24 +507,33 @@ def stable_error_bound(cert: StabilityCertificate, j: int, k: int, t: float) -> 
     )
 
 
+def scan_point(sys: QuadraticSystem, x0, budget: int = 400) -> dict:
+    """R_mu, R_alpha and best R_P of one system, as one scan row.
+
+    Instability and defectiveness are recorded in the row, never raised.
+    """
+    row = {"r_mu": r_mu(sys, x0)}
+    try:
+        row["r_alpha"] = r_alpha(sys, x0)
+    except NonDiagonalizableError:
+        row["r_alpha"] = np.inf
+    cert = optimize_rp(sys, x0, budget=budget)
+    row["r_p_best"] = cert.value
+    row["certified"] = bool(cert.certified)
+    return row
+
+
 def region_scan(family, grid, x0, budget: int = 400) -> list[dict]:
-    """Evaluate R_mu / R_alpha / best R_P on a parameter lattice.
+    """Evaluate :func:`scan_point` on a parameter lattice.
 
     ``family`` maps a parameter pair to a QuadraticSystem; the output is
     one row per lattice point, in input order, ready for CSV emission.
-    Instability and defectiveness are recorded per point, never raised.
     """
-    rows = []
-    for p1, p2 in grid:
-        sys = family(p1, p2)
-        row = {"param1": float(p1), "param2": float(p2)}
-        row["r_mu"] = r_mu(sys, x0)
-        try:
-            row["r_alpha"] = r_alpha(sys, x0)
-        except NonDiagonalizableError:
-            row["r_alpha"] = np.inf
-        cert = optimize_rp(sys, x0, budget=budget)
-        row["r_p_best"] = cert.value
-        row["certified"] = bool(cert.certified)
-        rows.append(row)
-    return rows
+    return [
+        {
+            "param1": float(p1),
+            "param2": float(p2),
+            **scan_point(family(p1, p2), x0, budget),
+        }
+        for p1, p2 in grid
+    ]

@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatchError,
+    NonDiagonalizableError,
     NonFiniteStateError,
     NonPositiveGammaError,
     StepSizeUnderflowError,
@@ -89,17 +90,22 @@ class QuadraticSystem:
 class Spectrum:
     """Eigenbasis quantities of one system, derived once.
 
-    ``dec`` factors F1 = Q diag(lambda) Q^{-1}; ``f2_tilde`` is
+    The one source of every eigenvalue-derived number the certifiers use.
+    ``dec`` factors F1 = Q diag(lambda) Q^{-1}, and :attr:`abscissa` is
+    max Re(lambda) over its eigenvalues.  ``f2_tilde`` is
     Q^{-1} F2 (Q (x) Q), the nonlinearity in that eigenbasis, with its
-    2-norm (NaN when Q^{-1} is not finite), column sparsity and ||Q||_2.
-    :meth:`x_max_tilde` memoizes the empirical trajectory supremum in the
-    eigenbasis, or its finite-time escape, per (x0, horizon, tol).
+    2-norm (NaN when Q^{-1} is not finite), column sparsity and ||Q||_2;
+    ``f0_tilde_norm`` is ||Q^{-1} F0||.  :meth:`diagonalizable` is the one
+    refusal of a numerically defective F1.  :meth:`x_max_tilde` memoizes
+    the empirical trajectory supremum in the eigenbasis, or its
+    finite-time escape, per (x0, horizon, tol).
     """
 
     system: QuadraticSystem = field(repr=False)
     dec: EigDecomposition
     f2_tilde: np.ndarray
     f2_tilde_norm: float
+    f0_tilde_norm: float
     sparsity: int
     q_norm: float
     _x_max: dict = field(default_factory=dict, repr=False)
@@ -113,7 +119,19 @@ class Spectrum:
         f2t = dec.inverse_vectors @ sys.f2 @ kron_square(q)
         f2t.flags.writeable = False
         f2n = float(spectral_norm(f2t)) if np.all(np.isfinite(f2t)) else np.nan
-        return cls(sys, dec, f2t, f2n, column_sparsity(f2t), float(spectral_norm(q)))
+        f0n = float(np.linalg.norm(dec.inverse_vectors @ sys.f0))
+        return cls(sys, dec, f2t, f2n, f0n, column_sparsity(f2t), float(spectral_norm(q)))
+
+    @property
+    def abscissa(self) -> float:
+        """Spectral abscissa alpha = max Re(lambda)."""
+        return float(np.max(self.dec.eigenvalues.real))
+
+    def diagonalizable(self) -> Spectrum:
+        """This spectrum, or :class:`NonDiagonalizableError` when F1 is numerically defective."""
+        if not self.dec.diagonalizable:
+            raise NonDiagonalizableError("linear part is numerically defective")
+        return self
 
     def x_max_tilde(self, x0, horizon: float, tol: float) -> float:
         """:func:`conservative.estimate_x_max_tilde` in this eigenbasis, solved once per key.

@@ -570,6 +570,26 @@ class TestCertifyChain:
         # the oscillating certifier runs on the shifted system: one more
         assert len(calls) == 3
 
+    def test_non_hermitian_eigensolves_per_system(self, monkeypatch, tmp_path):
+        from carleman_lab import linalg
+
+        calls = count_calls(monkeypatch, linalg.eig)
+        eigvals = np.linalg.eigvals
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        run(["certify", "--fixture", "conservative_toy", "--all",
+             "--out", str(tmp_path / "a.json")])
+        assert len(calls) == 1
+        calls.clear()
+        run(["certify", "--fixture", "damped_oscillator", "--all",
+             "--out", str(tmp_path / "b.json")])
+        # the second is solve_lyapunov's own spectral-abscissa check
+        assert len(calls) == 2
+
     def test_one_supremum_solve_per_key(self, monkeypatch, tmp_path):
         from carleman_lab import conservative
 

@@ -26,7 +26,7 @@ from carleman_lab.stability import (
     stable_error_bound,
     xi_bound,
 )
-from carleman_lab.system import QuadraticSystem, rescale
+from carleman_lab.system import QuadraticSystem, Spectrum, rescale
 
 
 def scalar_system(a, b, f0=0.0):
@@ -87,6 +87,19 @@ class TestRAlpha:
         dec = linalg.eig(fx.system.f1)
         w = dec.inverse_vectors
         assert r_p(fx.system, fx.x0, w.conj().T @ w) == pytest.approx(val, rel=1e-9)
+
+    def test_divides_by_the_certificate_alpha(self):
+        fx = damped_oscillator(r=0.1, n=0.1)
+        spec = fx.system.spectrum
+        alpha = optimize_rp(fx.system, fx.x0, budget=100).alpha
+        # linalg.eig sorts on real parts quantized to 1e-10 max|lambda|, so the
+        # first eigenvalue is not the one with the largest real part here
+        assert spec.dec.eigenvalues[0].real < alpha == np.max(spec.dec.eigenvalues.real)
+        w = spec.dec.inverse_vectors
+        nx = np.linalg.norm(w @ linalg.as_cvector(fx.x0))
+        f0_t = np.linalg.norm(w @ fx.system.f0)
+        expected = float((spec.f2_tilde_norm * nx + f0_t / nx) / (-alpha))
+        assert r_alpha(fx.system, fx.x0) == expected
 
     def test_defective_rejected(self):
         sys = QuadraticSystem(
@@ -516,7 +529,7 @@ class TestOptimizeRP:
 
         for module in (linalg, stability):
             monkeypatch.setattr(module, "_pd_sqrt_factors", counting)
-        monkeypatch.setattr(stability, "spectral_abscissa", recomputed)
+        monkeypatch.setattr(Spectrum, "abscissa", property(recomputed))
         monkeypatch.setattr(stability, "log_norm", recomputed)
         sys, x0, p = fx.system, fx.x0, cert.p
         again = stability._certificate_from_p(sys, x0, p, cert.value, cert.alpha, cert.mu)
