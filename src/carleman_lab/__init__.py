@@ -1,53 +1,3 @@
 """Carleman lifts of quadratic ODEs: build, measure, certify, diagonalize."""
 
-from . import (
-    carleman,
-    conservative,
-    errors,
-    fixtures,
-    forests,
-    jsonio,
-    linalg,
-    nonresonant,
-    stability,
-    system,
-)
-from .carleman import (
-    CarlemanMatrix,
-    ErrorProfile,
-    assemble_dense,
-    build_blocks,
-    convergence_sweep,
-    error_profile,
-    initial_lift,
-    integrate_lift,
-)
-from .system import QuadraticSystem, Trajectory, integrate_reference, rescale, rhs
-
-__all__ = [
-    "CarlemanMatrix",
-    "ErrorProfile",
-    "QuadraticSystem",
-    "Trajectory",
-    "assemble_dense",
-    "build_blocks",
-    "carleman",
-    "conservative",
-    "convergence_sweep",
-    "error_profile",
-    "errors",
-    "fixtures",
-    "forests",
-    "initial_lift",
-    "integrate_lift",
-    "integrate_reference",
-    "jsonio",
-    "linalg",
-    "nonresonant",
-    "rescale",
-    "rhs",
-    "stability",
-    "system",
-]
-
 __version__ = "0.1.0"

@@ -425,7 +425,6 @@ class ErrorProfile:
     times: np.ndarray
     block_norms: np.ndarray  # shape (len(times), k)
     k_used: int
-    decay_rate_per_k: float | None = None
     reference: Trajectory | None = field(default=None, repr=False)
     lift: Trajectory | None = field(default=None, repr=False)
 

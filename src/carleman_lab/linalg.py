@@ -185,12 +185,6 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def spectral_abscissa(m) -> float:
-    """Largest real part over the spectrum."""
-    a = _require_square(m)
-    return float(np.max(np.linalg.eigvals(a).real))
-
-
 def log_norm(m) -> float:
     """Log-norm: largest eigenvalue of the Hermitian part (M + M^dag)/2."""
     a = _require_square(m)
@@ -268,19 +262,19 @@ def solve_lyapunov(f1) -> np.ndarray:
 
     Solved through the Kronecker linearization
     (F1^T (x) I + I (x) F1^dag) vec(P) = -vec(I) with column-major vec.
-    Requires spectral abscissa < 0; the P returned then certifies
+    By Lyapunov's theorem P exists exactly when F1 is Hurwitz, so a singular
+    operator (lambda_i + conj(lambda_j) = 0) or a P that is not positive
+    definite raises NotStableError; a P returned certifies
     ``generalized_log_norm(f1, P) < 0``.
     """
     a = _require_square(f1)
     n = a.shape[0]
-    if spectral_abscissa(a) >= 0:
-        raise NotStableError("spectral abscissa >= 0; Lyapunov equation infeasible")
     lhs = np.kron(a.T, np.eye(n)) + np.kron(np.eye(n), a.conj().T)
     rhs = -np.eye(n).flatten(order="F")
     try:
         vec_p = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+        raise NotStableError(f"Lyapunov operator is singular: {exc}") from exc
     p = vec_p.reshape((n, n), order="F")
     p = (p + p.conj().T) / 2.0
     residual = np.linalg.norm(p @ a + a.conj().T @ p + np.eye(n), 2)

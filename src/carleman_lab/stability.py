@@ -19,6 +19,8 @@ from scipy.optimize import minimize
 from .errors import (
     NonDiagonalizableError,
     NotPositiveDefiniteError,
+    NotStableError,
+    SingularSystemError,
     UncertifiedError,
     ZeroInitialStateError,
 )
@@ -395,7 +397,7 @@ def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertif
         seeds.append(w.conj().T @ w)
     try:
         seeds.append(solve_lyapunov(sys.f1))
-    except Exception:
+    except (NotStableError, SingularSystemError):
         pass
 
     best_p = None
@@ -522,18 +524,3 @@ def scan_point(sys: QuadraticSystem, x0, budget: int = 400) -> dict:
     row["certified"] = bool(cert.certified)
     return row
 
-
-def region_scan(family, grid, x0, budget: int = 400) -> list[dict]:
-    """Evaluate :func:`scan_point` on a parameter lattice.
-
-    ``family`` maps a parameter pair to a QuadraticSystem; the output is
-    one row per lattice point, in input order, ready for CSV emission.
-    """
-    return [
-        {
-            "param1": float(p1),
-            "param2": float(p2),
-            **scan_point(family(p1, p2), x0, budget),
-        }
-        for p1, p2 in grid
-    ]

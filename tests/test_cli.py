@@ -587,8 +587,7 @@ class TestCertifyChain:
         calls.clear()
         run(["certify", "--fixture", "damped_oscillator", "--all",
              "--out", str(tmp_path / "b.json")])
-        # the second is solve_lyapunov's own spectral-abscissa check
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_one_supremum_solve_per_key(self, monkeypatch, tmp_path):
         from carleman_lab import conservative

@@ -5,9 +5,9 @@ abscissa, the real spectral gap, the eigenbasis norms and the
 defectiveness refusal) is read from ``QuadraticSystem.spectrum``, which
 factors F1 once through ``linalg.eig``.  Outside ``linalg.py`` no module
 may call ``eig``/``eigvals`` from numpy or scipy; inside it only ``eig``
-and ``spectral_abscissa`` may.  Hermitian solves (``eigh``,
-``eigvalsh``) are allowed everywhere.  The check reads the source with
-``ast``, so docstrings that name a solver do not count.
+may.  Hermitian solves (``eigh``, ``eigvalsh``) are allowed everywhere.
+The check reads the source with ``ast``, so docstrings that name a solver
+do not count.
 """
 
 import ast
@@ -19,7 +19,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "carleman_lab"
 
 SOLVERS = {"eig", "eigvals"}
 LIBRARIES = {"np", "numpy", "scipy"}
-LINALG_ALLOWED = {"eig", "spectral_abscissa"}
+LINALG_ALLOWED = {"eig"}
 
 
 def eigensolver_calls(source: str) -> list:

@@ -10,6 +10,7 @@ from carleman_lab.errors import (
     NotPositiveDefiniteError,
     NotStableError,
 )
+from spectrum_helper import spectral_abscissa
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 TRANSIENT = np.array([[0.25, 1.0], [-1.0, -0.5]])
@@ -100,16 +101,16 @@ class TestLogNormAndAbscissa:
         assert linalg.log_norm(a) > 0.012
 
     def test_abscissa_examples(self):
-        assert linalg.spectral_abscissa(TRANSIENT) == pytest.approx(-0.125, abs=1e-12)
-        assert linalg.spectral_abscissa(ROTATION) == pytest.approx(0.0, abs=1e-13)
+        assert spectral_abscissa(TRANSIENT) == pytest.approx(-0.125, abs=1e-12)
+        assert spectral_abscissa(ROTATION) == pytest.approx(0.0, abs=1e-13)
         f1 = np.array([[0.0, 1.0], [-1.0, -1.0]])
         # closed-form quadratic roots: Re[(-1 + sqrt(-3))/2]
-        assert linalg.spectral_abscissa(f1) == pytest.approx(-0.5, abs=1e-12)
+        assert spectral_abscissa(f1) == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_log_norm_dominates_abscissa(self, seed):
         m = random_matrix(np.random.default_rng(seed), 4)
-        assert linalg.log_norm(m) >= linalg.spectral_abscissa(m) - 1e-12
+        assert linalg.log_norm(m) >= spectral_abscissa(m) - 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_abscissa_similarity_invariant(self, seed):
@@ -117,9 +118,7 @@ class TestLogNormAndAbscissa:
         m = random_matrix(rng, 3)
         q = random_matrix(rng, 3) + 3 * np.eye(3)
         sim = q @ m @ np.linalg.inv(q)
-        assert linalg.spectral_abscissa(sim) == pytest.approx(
-            linalg.spectral_abscissa(m), abs=1e-8
-        )
+        assert spectral_abscissa(sim) == pytest.approx(spectral_abscissa(m), abs=1e-8)
 
 
 class TestGeneralizedLogNorm:
@@ -137,14 +136,14 @@ class TestGeneralizedLogNorm:
         w = dec.inverse_vectors
         p = w.conj().T @ w
         assert linalg.generalized_log_norm(m, p) == pytest.approx(
-            linalg.spectral_abscissa(m), abs=1e-10
+            spectral_abscissa(m), abs=1e-10
         )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lyapunov_weight_is_negative(self, seed):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, 3) - 3 * np.eye(3)
-        assert linalg.spectral_abscissa(m) < 0
+        assert spectral_abscissa(m) < 0
         p = linalg.solve_lyapunov(m)
         assert linalg.generalized_log_norm(m, p) < 0
 
@@ -191,6 +190,18 @@ class TestSolveLyapunov:
     def test_marginal_matrix_rejected(self):
         with pytest.raises(NotStableError):
             linalg.solve_lyapunov(ROTATION)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unstable_matrix_rejected(self, seed):
+        # shift a random matrix so that 0 < alpha < 1; the rest of its
+        # spectrum may lie on either side of the imaginary axis
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 5
+        m = random_matrix(rng, n) if seed % 2 else rng.standard_normal((n, n))
+        m = m + (rng.uniform(0.01, 1.0) - spectral_abscissa(m)) * np.eye(n)
+        assert spectral_abscissa(m) > 0
+        with pytest.raises(NotStableError):
+            linalg.solve_lyapunov(m)
 
 
 class TestOriginHull:

@@ -21,8 +21,8 @@ from carleman_lab.stability import (
     r_alpha,
     r_mu,
     r_p,
-    region_scan,
     rp_condition_number_bound,
+    scan_point,
     stable_error_bound,
     xi_bound,
 )
@@ -254,7 +254,7 @@ class TestRPAgainstWeightedSystem:
         planar = self.recorded_planar_calls(monkeypatch)
         optimize_rp(fx.system, fx.x0, budget=300)
         monkeypatch.undo()
-        stable = linalg.spectral_abscissa(fx.system.f1) < 0
+        stable = fx.system.spectrum.abscissa < 0
         searched = planar if fx.system.n == 2 else calls
         assert len(searched) > 10 if stable else not (calls or planar)
         assert fx.system.n == 2 or not planar
@@ -497,6 +497,15 @@ class TestOptimizeRP:
         cert = optimize_rp(sys, [1.0], budget=100)
         assert not cert.certified and "stable" in cert.reason
 
+    def test_lyapunov_seed_lets_programming_errors_through(self, monkeypatch):
+        def broken(_f1):
+            raise TypeError("bug in the seed")
+
+        monkeypatch.setattr(stability, "solve_lyapunov", broken)
+        fx = damped_oscillator(r=1.5, n=0.1)
+        with pytest.raises(TypeError, match="bug in the seed"):
+            optimize_rp(fx.system, fx.x0, budget=100)
+
     def test_witness_satisfies_lyapunov_inequality(self):
         for seed in range(4):
             sys = random_stable_system(seed)
@@ -607,19 +616,15 @@ class TestStableErrorBound:
 class TestRegionScan:
     def test_oscillator_grid(self):
         grid = [(r, n) for r in (0.5, 1.0, 1.5, 2.0) for n in (0.0, 0.1, 0.3)]
-        rows = region_scan(
-            lambda r, n: damped_oscillator(r=r, n=n).system,
-            grid,
-            np.array([0.5, 0.5]),
-            budget=300,
-        )
+        x0 = np.array([0.5, 0.5])
+        rows = [
+            scan_point(damped_oscillator(r=r, n=n).system, x0, budget=300) for r, n in grid
+        ]
         # the plain log-norm criterion never fires for the oscillator
         assert all(row["r_mu"] == np.inf for row in rows)
         # eigenbasis criterion fires somewhere, and the witness search
         # dominates it pointwise
-        alpha_region = {
-            (row["param1"], row["param2"]) for row in rows if row["r_alpha"] < 1
-        }
+        alpha_region = {point for point, row in zip(grid, rows) if row["r_alpha"] < 1}
         assert alpha_region
         for row in rows:
             if np.isfinite(row["r_alpha"]):
@@ -629,12 +634,10 @@ class TestRegionScan:
         x0 = np.array([0.5, 0.5])
         per_r = []
         for r in (0.8, 1.4, 2.0):
-            rows = region_scan(
-                lambda rr, nn: damped_oscillator(r=rr, n=nn).system,
-                [(r, n) for n in (0.05, 0.1, 0.15, 0.2, 0.25)],
-                x0,
-                budget=300,
-            )
+            rows = [
+                scan_point(damped_oscillator(r=r, n=n).system, x0, budget=300)
+                for n in (0.05, 0.1, 0.15, 0.2, 0.25)
+            ]
             per_r.append(sum(row["r_p_best"] < 1 for row in rows))
         assert per_r[0] <= per_r[1] <= per_r[2] and per_r[-1] >= 1
 
