@@ -215,7 +215,7 @@ def cmd_certify(args) -> int:
         ("siegel_split", lambda: nonresonant.certify_siegel_split(sysd, x0, **kw),
          "R_Delta", _NONRESONANT_FIELDS),
     ]
-    if args.f2_frequency:
+    if args.f2_frequency is not None:
         stages.append((
             "oscillating_f2",
             lambda: nonresonant.certify_oscillating(sysd, x0, args.f2_frequency, **kw),

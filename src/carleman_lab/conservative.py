@@ -11,6 +11,7 @@ embeddings into larger autonomous driftless systems.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -126,7 +127,13 @@ def r_delta(sys: QuadraticSystem, x_max_tilde: float) -> float:
 
 
 def estimate_x_max_tilde(
-    sys: QuadraticSystem, x0, q, horizon: float, tol: float = 1e-12
+    sys: QuadraticSystem,
+    x0,
+    q,
+    horizon: float,
+    tol: float = 1e-12,
+    *,
+    frequency: float = 0.0,
 ) -> float:
     """Empirical sup of ||Q^{-1} x(t)|| over [0, horizon], padded by 2%.
 
@@ -135,9 +142,18 @@ def estimate_x_max_tilde(
     certificates built on it carry an "empirical-supremum" caveat.  A
     finite-time escape raises :class:`StepSizeUnderflowError` or
     :class:`NonFiniteStateError`.
+
+    A nonzero ``frequency`` w marks the driftless ``sys`` as carrying the
+    spectral shift F1 + i w I of :func:`nonresonant.shift_oscillating_f2`.
+    The solve then runs in the unshifted frame z = exp(-i w t) x, where
+    z' = (F1 - i w I) z + exp(i w t) F2 (z (x) z): the phase is a scalar,
+    so ||Q^{-1} x(t)|| = ||Q^{-1} z(t)||, but z does not carry the fast
+    rotation at w that the solver would otherwise have to resolve.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+    if frequency and np.any(sys.f0):
+        raise ValueError("the unshifted frame needs a driftless system")
     qm = as_cmatrix(q)
     try:
         qinv = np.linalg.inv(qm)
@@ -145,9 +161,18 @@ def estimate_x_max_tilde(
         raise SingularQError(str(exc)) from exc
     v0 = as_cvector(x0)
     ts = np.linspace(0.0, float(horizon), _XMAX_SAMPLES)
-    states = _dormand_prince(
-        lambda _t, y: sys.vector_field(y), v0, ts, tol, tol, method="DOP853"
-    ).states.T
+    if frequency:
+        f1, f2 = sys.f1 - 1j * frequency * np.eye(sys.n), sys.f2
+
+        def field(t, z):
+            return f1 @ z + cmath.exp(1j * frequency * t) * (f2 @ kron_pair(z))
+
+    else:
+
+        def field(_t, y):
+            return sys.vector_field(y)
+
+    states = _dormand_prince(field, v0, ts, tol, tol, method="DOP853").states.T
     sup = float(np.max(np.linalg.norm(qinv @ states, axis=0)))
     return XMAX_SAFETY * sup
 

@@ -98,7 +98,7 @@ class Spectrum:
     ``f0_tilde_norm`` is ||Q^{-1} F0||.  :meth:`diagonalizable` is the one
     refusal of a numerically defective F1.  :meth:`x_max_tilde` memoizes
     the empirical trajectory supremum in the eigenbasis, or its
-    finite-time escape, per (x0, horizon, tol).
+    finite-time escape, per (x0, horizon, tol, frequency).
     """
 
     system: QuadraticSystem = field(repr=False)
@@ -133,20 +133,26 @@ class Spectrum:
             raise NonDiagonalizableError("linear part is numerically defective")
         return self
 
-    def x_max_tilde(self, x0, horizon: float, tol: float) -> float:
+    def x_max_tilde(
+        self, x0, horizon: float, tol: float, *, frequency: float = 0.0
+    ) -> float:
         """:func:`conservative.estimate_x_max_tilde` in this eigenbasis, solved once per key.
 
-        A finite-time escape is remembered too: later calls with the same
-        key re-raise it without integrating again.
+        The key is (x0, horizon, tol, frequency).  A nonzero ``frequency``
+        marks this system as spectrally shifted by it and solves the
+        supremum in the unshifted frame; the eigenbasis Q stays this
+        spectrum's.  A finite-time escape is remembered too: later calls
+        with the same key re-raise it without integrating again.
         """
         from . import conservative
 
         v0 = as_cvector(x0)
-        key = (v0.tobytes(), float(horizon), float(tol))
+        key = (v0.tobytes(), float(horizon), float(tol), float(frequency))
         if key not in self._x_max:
             try:
                 self._x_max[key] = conservative.estimate_x_max_tilde(
-                    self.system, v0, self.dec.right_vectors, horizon, tol=tol
+                    self.system, v0, self.dec.right_vectors, horizon,
+                    tol=tol, frequency=frequency,
                 )
             except (StepSizeUnderflowError, NonFiniteStateError) as exc:
                 self._x_max[key] = exc

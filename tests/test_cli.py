@@ -631,6 +631,20 @@ class TestCertifyChain:
         assert run([*self.ESCAPE, "--out", str(out)]) == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("omega,reason", [
+        ("0", "frequency must be positive"),
+        ("nan", "frequency must be positive"),
+        ("inf", "frequency must be finite"),
+    ])
+    def test_invalid_frequency_is_uncertified(self, tmp_path, capsys, omega, reason):
+        out = tmp_path / "cert.json"
+        argv = [*self.NETWORK[:-1], omega, "--all", "--out", str(out)]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == ""
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["oscillating_f2"]["reason"] == reason
+        assert not diag["oscillating_f2"]["certified"]
+
     def test_tight_first_block_flag_is_gone(self):
         with pytest.raises(SystemExit):
             run(["certify", "--fixture", "scalar", "--tight-first-block"])

@@ -36,6 +36,7 @@ from carleman_lab.fixtures import (
     reduced_conservative_rp,
     time_dep_toy,
 )
+from carleman_lab.nonresonant import shift_oscillating_f2
 from carleman_lab.system import (
     QuadraticSystem,
     integrate_nonautonomous,
@@ -198,6 +199,39 @@ class TestSupremumSolver:
             assert sol.success
             sup = np.max(np.linalg.norm(np.linalg.inv(q) @ sol.y, axis=0))
             assert value == pytest.approx(conservative.XMAX_SAFETY * sup, rel=1e-10)
+
+    def test_oscillating_supremum_halves_the_rhs_evaluations(self, monkeypatch, tmp_path):
+        # the seed-0 benchmark request on oscillator_network
+        argv = ["certify", "--fixture", "oscillator_network",
+                "--param", "w=0.04982418469500311", "--param", "n=3",
+                "--f2-frequency", "6.928203230275509"]
+        sups = self.record(monkeypatch, conservative, "estimate_x_max_tilde")
+        solves = self.record(monkeypatch, system, "solve_ivp")
+        assert cli_main([*argv, "--out", str(tmp_path / "cert.json")]) == 0
+        (sup,) = sups
+        assert sup["kwargs"]["frequency"] == 6.928203230275509
+        (unshifted,) = solves
+        shifted_sys, x0, q, horizon = sup["args"]
+        estimate_x_max_tilde(shifted_sys, x0, q, horizon)
+        _, shifted = solves
+        assert unshifted["result"].nfev <= shifted["result"].nfev / 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unshifted_frame_matches_shifted_frame(self, n):
+        fx = fixture("oscillator_network", n=n, w=0.05)
+        omega = fx.extras["omega"]
+        shifted = shift_oscillating_f2(fx.system, omega).shifted
+        # the unshifted frame's linear part is F1 itself, entry for entry
+        assert np.array_equal(shifted.f1 - 1j * omega * np.eye(shifted.n), fx.system.f1)
+        q = shifted.spectrum.dec.right_vectors
+        in_shifted = estimate_x_max_tilde(shifted, fx.x0, q, fx.horizon)
+        unshifted = estimate_x_max_tilde(shifted, fx.x0, q, fx.horizon, frequency=omega)
+        assert unshifted == pytest.approx(in_shifted, rel=1e-11)
+
+    def test_unshifted_frame_refuses_drift(self):
+        sys = QuadraticSystem(f0=[0.1], f1=[[-1.0 + 2j]], f2=[[0.1]])
+        with pytest.raises(ValueError, match="driftless"):
+            estimate_x_max_tilde(sys, [0.5], np.eye(1), 1.0, frequency=2.0)
 
     def test_escape_reported_after_one_solve(self, monkeypatch, tmp_path):
         sups = self.record(monkeypatch, conservative, "estimate_x_max_tilde")

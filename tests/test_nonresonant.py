@@ -800,6 +800,12 @@ class TestShiftOscillating:
         with pytest.raises(FrequencyTooSmallError):
             shift_oscillating_f2(self._system(), 0.5)
 
+    def test_infinite_frequency_refused(self):
+        from carleman_lab.errors import WrongSignError
+
+        with pytest.raises(WrongSignError, match="finite"):
+            shift_oscillating_f2(self._system(), np.inf)
+
 
 class TestSiegelType:
     def test_xi_at_zero(self):

@@ -335,6 +335,27 @@ class TestSpectrum:
         assert len(calls) == 4
         assert first == real(sys, [0.3, 0.1], spec.dec.right_vectors, 2.0, tol=1e-10)
 
+    def test_x_max_tilde_keyed_on_frequency(self, monkeypatch):
+        from carleman_lab import conservative
+
+        calls = []
+        real = conservative.estimate_x_max_tilde
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["frequency"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conservative, "estimate_x_max_tilde", counting)
+        base = random_system(6)
+        spec = QuadraticSystem(f0=np.zeros(2), f1=base.f1, f2=base.f2).spectrum
+        shifted = spec.x_max_tilde([0.3, 0.1], 2.0, 1e-10)
+        unshifted = spec.x_max_tilde([0.3, 0.1], 2.0, 1e-10, frequency=3.0)
+        assert calls == [0.0, 3.0]
+        for _ in range(2):
+            assert spec.x_max_tilde([0.3, 0.1], 2.0, 1e-10) == shifted
+            assert spec.x_max_tilde([0.3, 0.1], 2.0, 1e-10, frequency=3.0) == unshifted
+        assert calls == [0.0, 3.0]
+
     def test_x_max_tilde_escape_remembered(self, monkeypatch):
         from carleman_lab import conservative
 
