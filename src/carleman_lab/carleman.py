@@ -357,34 +357,40 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     )
 
 
-def _expm_action(a: sp.csr_array, v: np.ndarray, t: float) -> np.ndarray:
-    """e^{t A} v by scaled truncated Taylor series (Al-Mohy & Higham, Alg. 3.2).
+def _expm_action(a: sp.csr_array):
+    """v, t -> e^{t A} v by scaled truncated Taylor series (Al-Mohy & Higham, Alg. 3.2).
 
-    A is shifted by mu = trace(A)/dim first, and the series stops early
-    once two consecutive terms fall below 2^-53 of the partial sum.
+    A is shifted by mu = trace(A)/dim first; the shifted matrix and its
+    1-norm are formed once here, and each call only plans its Taylor
+    degree and step count for its t.  The series stops early once two
+    consecutive terms fall below 2^-53 of the partial sum.
     """
     dim = a.shape[0]
     mu = a.trace() / dim
     shifted = a - mu * sp.identity(dim, dtype=complex, format="csr")
-    norm = float(abs(t) * abs(shifted).sum(axis=0).max())
-    m, s = _taylor_plan(norm)
-    eta = np.exp(t * mu / s)
-    f = v
-    for _ in range(s):
-        term = f
-        c1 = np.max(np.abs(term))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, m + 1):
-                term = (t / (s * j)) * (shifted @ term)
-                c2 = np.max(np.abs(term))
-                f = f + term
-                if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(f)):
-                    break
-                c1 = c2
-            f = eta * f
-        if not np.all(np.isfinite(f)):
-            raise MatrixOverflowError("matrix exponential action overflowed")
-    return f
+    col_max = abs(shifted).sum(axis=0).max()
+
+    def action(v: np.ndarray, t: float) -> np.ndarray:
+        m, s = _taylor_plan(float(abs(t) * col_max))
+        eta = np.exp(t * mu / s)
+        f = v
+        for _ in range(s):
+            term = f
+            c1 = np.max(np.abs(term))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(1, m + 1):
+                    term = (t / (s * j)) * (shifted @ term)
+                    c2 = np.max(np.abs(term))
+                    f = f + term
+                    if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(f)):
+                        break
+                    c1 = c2
+                f = eta * f
+            if not np.all(np.isfinite(f)):
+                raise MatrixOverflowError("matrix exponential action overflowed")
+        return f
+
+    return action
 
 
 def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Trajectory:
@@ -409,11 +415,12 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
     drive = sp.csr_array(cm.drive.reshape(-1, 1))
     corner = sp.csr_array((1, 1), dtype=complex)
     aug = sp.block_array([[cm.generator(), drive], [None, corner]], format="csr")
+    expm = _expm_action(aug)
     states = np.empty((t.size, cm.total_dim), dtype=complex)
     states[0] = v0
     current = np.concatenate([v0, [1.0 + 0j]])
     for i, dt in enumerate(np.diff(t), start=1):
-        current = _expm_action(aug, current, float(dt))
+        current = expm(current, float(dt))
         states[i] = current[:-1]
     return Trajectory(t, states)
 

@@ -142,7 +142,7 @@ class ResonantDenominatorError(CarlemanLabError):
 
 
 class CapExceededError(CarlemanLabError):
-    """A combinatorial enumeration cap was exceeded."""
+    """A combinatorial enumeration cap or a solver's work budget was exceeded."""
 
 
 class FrequencyTooSmallError(CarlemanLabError):

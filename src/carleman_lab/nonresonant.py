@@ -259,6 +259,23 @@ def _shift_apply(op: np.ndarray, x: np.ndarray, n: int, level: int) -> np.ndarra
     return out
 
 
+def _shift_block(op: np.ndarray, n: int, level: int) -> np.ndarray:
+    """sum_{l<level} I_{n^l} (x) op (x) I_{n^(level-1-l)} as a dense matrix.
+
+    Slot by slot, in the order :func:`_shift_apply` sums them, op is added
+    onto the entries ((o, a, i), (o, b, i)) of the slot's term, reached as
+    a writeable ``np.einsum`` view; with op = F2~ this is the dense block
+    A~_(level,level+1), bitwise ``_shift_apply(op, I, n, level)``.
+    """
+    p, q = op.shape
+    out = np.zeros((p * n ** (level - 1), q * n ** (level - 1)), dtype=complex)
+    for l in range(level):
+        outer, inner = n**l, n ** (level - 1 - l)
+        slots = out.reshape(outer, p, inner, outer, q, inner)
+        np.einsum("oaiobi->oaib", slots)[...] += op[None, :, None, :]
+    return out
+
+
 def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
     """Strictly upper blocks of the inverse transform in eigencoordinates.
 
@@ -320,10 +337,11 @@ def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, fl
     """``residual`` and ``inverse_residual`` of :class:`CarlemanDiagonalization`.
 
     ``v`` and ``w`` hold the strictly upper blocks up to order k.  With
-    identity diagonal blocks, R_(i,i) = E_(i,i) = 0, R_(j-1,j) applies
-    A~_(j-1,j) to an identity, and E_(i,j) = W_(i,j) + sum_{i<m<j}
-    V_(i,m) W_(m,j) + V_(i,j): the full sum, in its order, less the exact
-    products with I, so both residuals equal the full products' bitwise.
+    identity diagonal blocks, R_(i,i) = E_(i,i) = 0, R_(j-1,j) adds the
+    dense block A~_(j-1,j) (:func:`_shift_block`), the product with I,
+    and E_(i,j) = W_(i,j) + sum_{i<m<j} V_(i,m) W_(m,j) + V_(i,j): the
+    full sum, in its order, less the exact products with I, so both
+    residuals equal the full products' bitwise.
     """
     n = len(lams)
     d = {j: level_sums(lams, j) for j in range(1, k + 1)}
@@ -335,8 +353,11 @@ def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, fl
         inverse.append(0.0)
         for j in range(i + 1, k + 1):
             vij = v[(i, j)]
-            below = v[(i + 1, j)] if i + 1 < j else np.eye(n**j, dtype=complex)
-            r = d[i][:, None] * vij - vij * d[j][None, :] + _shift_apply(f2t, below, n, i)
+            if i + 1 < j:
+                coupling = _shift_apply(f2t, v[(i + 1, j)], n, i)
+            else:
+                coupling = _shift_block(f2t, n, i)
+            r = d[i][:, None] * vij - vij * d[j][None, :] + coupling
             e = sum((v[(i, m)] @ w[(m, j)] for m in range(i + 1, j)), w[(i, j)]) + vij
             similarity.append(np.linalg.norm(r))
             inverse.append(np.linalg.norm(e))

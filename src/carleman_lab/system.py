@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    CapExceededError,
     DimensionMismatchError,
     NonDiagonalizableError,
     NonFiniteStateError,
@@ -38,6 +39,14 @@ from .linalg import (
 )
 
 _RNG_PROBES = 8
+
+# right-hand-side evaluations one adaptive solve may spend: about 30x
+# the most any test or benchmark request needs (6 506, a finite-time
+# escape), and twice what an ``oscillator_network`` supremum at
+# --f2-frequency 700 needs (94 289).  The budget is per solve, not per
+# call of :func:`_dormand_prince`, so that the number of samples a
+# landing solve is asked for does not count against it.
+RHS_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -233,10 +242,13 @@ def integrate_reference(
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-12,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) solve sampled at the requested times.
+    """Adaptive Dormand-Prince 8(5,3) solve that lands on the requested times.
 
-    Local error is controlled per step by rel_tol*|x| + abs_tol.  This is
-    the brute-force oracle every Carleman truncation error is measured
+    Local error is controlled per step by rel_tol*|x| + abs_tol.  The
+    system is autonomous, so each sample comes from one solve over
+    [0, t_(i+1) - t_i] started at the one before, and is that solve's
+    last step endpoint, not a dense-output interpolant.  This is the
+    brute-force oracle every Carleman truncation error is measured
     against, so the defaults are near the binary64 floor.
     """
     v0 = as_cvector(x0)
@@ -245,28 +257,37 @@ def integrate_reference(
     for tol in (rel_tol, abs_tol):
         if not 1e-14 <= tol <= 1e-3:
             raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
-    return _dormand_prince(lambda _t, y: sys.vector_field(y), v0, times, rel_tol, abs_tol)
+    return _dormand_prince(
+        lambda _t, y: sys.vector_field(y), v0, times, rel_tol, abs_tol,
+        method="DOP853", land=True,
+    )
 
 
 def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
-    """Same Dormand-Prince solve for an explicit time-dependent rhs f(t, x).
+    """Dormand-Prince 5(4) solve of an explicit time-dependent rhs f(t, x).
 
-    Used to cross-check the autonomous embeddings of driven and
-    oscillating systems against a direct non-autonomous solve.
+    One solve over the whole span, read at the times from its dense
+    output.  Used to cross-check the autonomous embeddings of driven and
+    oscillating systems against a direct non-autonomous solve by a
+    different method.
     """
     return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
 
 
 def _dormand_prince(
-    f, v0: np.ndarray, times, rel_tol, abs_tol, *, method: str = "RK45"
+    f, v0: np.ndarray, times, rel_tol, abs_tol, *, method: str = "RK45", land: bool = False
 ) -> Trajectory:
     """Dormand-Prince solve of xdot = f(t, x) at the given times, with one failure policy.
 
     ``method`` is the scipy pair, fixed by each caller: the 5(4) pair
-    "RK45" for the reference oracles the lift is scored against, the
-    8(5,3) pair "DOP853" for the certifiers' trajectory supremum, where
-    it needs about four times fewer rhs evaluations at 1e-12.  The times
-    must start at 0 and increase strictly.  A collapsed step raises
+    "RK45" for the non-autonomous cross-check, the 8(5,3) pair "DOP853"
+    for the reference oracle and the certifiers' trajectory supremum.
+    By default one solve covers [0, times[-1]] and the states are read
+    from its interpolant; ``land=True``, for an autonomous f only,
+    restarts the solve at every sample, so each state is a step endpoint.
+    The times must start at 0 and increase strictly.  Each solve may
+    spend :data:`RHS_BUDGET` evaluations of f, beyond which it raises
+    :class:`CapExceededError`.  A collapsed step raises
     :class:`StepSizeUnderflowError`, any other solver failure or a
     non-finite sampled state raises :class:`NonFiniteStateError`.
     """
@@ -275,23 +296,48 @@ def _dormand_prince(
         raise ValueError("times must be strictly increasing and start at 0")
     if t.size == 1:
         return Trajectory(t, v0[None, :].copy(), rel_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
-        sol = solve_ivp(
-            f,
-            (0.0, float(t[-1])),
-            v0.astype(complex),
-            method=method,
-            t_eval=t,
-            rtol=max(rel_tol, 3e-14),
-            atol=abs_tol,
-        )
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower() or sol.status == -1:
-            raise StepSizeUnderflowError(msg)
-        raise NonFiniteStateError(msg)
-    states = sol.y.T
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteStateError("integration produced non-finite state")
+
+    def solve(y0, end, t_eval=None) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rtol clamping near eps is fine
+            sol = solve_ivp(
+                _budgeted(f),
+                (0.0, end),
+                y0,
+                method=method,
+                t_eval=t_eval,
+                rtol=max(rel_tol, 3e-14),
+                atol=abs_tol,
+            )
+        if not sol.success:
+            msg = sol.message or "integration failed"
+            if "step size" in msg.lower() or sol.status == -1:
+                raise StepSizeUnderflowError(msg)
+            raise NonFiniteStateError(msg)
+        if not np.all(np.isfinite(sol.y)):
+            raise NonFiniteStateError("integration produced non-finite state")
+        return sol.y
+
+    if not land:
+        return Trajectory(t, solve(v0.astype(complex), float(t[-1]), t).T, rel_tol)
+    states = np.empty((t.size, v0.size), dtype=complex)
+    states[0] = v0
+    for i, dt in enumerate(np.diff(t), start=1):
+        states[i] = solve(states[i - 1], float(dt))[:, -1]
     return Trajectory(t, states, rel_tol)
+
+
+def _budgeted(f):
+    """f, raising :class:`CapExceededError` once called more than :data:`RHS_BUDGET` times."""
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > RHS_BUDGET:
+            raise CapExceededError(
+                f"solve exceeded its budget of {RHS_BUDGET} right-hand-side evaluations"
+            )
+        return f(t, y)
+
+    return counted

@@ -645,6 +645,19 @@ class TestCertifyChain:
         assert diag["oscillating_f2"]["reason"] == reason
         assert not diag["oscillating_f2"]["certified"]
 
+    def test_solver_budget_ends_a_runaway_supremum(self, monkeypatch, tmp_path, capsys):
+        from carleman_lab import system
+
+        # the earlier stages' solves fit; at w = 1e17 the supremum solve
+        # would never finish without the budget
+        monkeypatch.setattr(system, "RHS_BUDGET", 20_000)
+        out = tmp_path / "cert.json"
+        assert run([*self.NETWORK[:-1], "1e17", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: solve exceeded its budget of 20000 right-hand-side evaluations\n"
+        )
+        assert not out.exists()
+
     def test_tight_first_block_flag_is_gone(self):
         with pytest.raises(SystemExit):
             run(["certify", "--fixture", "scalar", "--tight-first-block"])

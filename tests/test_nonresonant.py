@@ -26,6 +26,7 @@ from carleman_lab.nonresonant import (
     build_vinv_blocks,
     _blockwise_residuals,
     _shift_apply,
+    _shift_block,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
@@ -425,6 +426,18 @@ class TestShiftApply:
         ):
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+    @pytest.mark.parametrize("n,level", [(1, 6), (2, 5), (3, 1), (3, 4), (3, 5), (4, 3)])
+    def test_dense_block_equals_apply_to_identity(self, n, level):
+        rng = np.random.default_rng(60 + n)
+        f2 = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+        dense = _shift_block(f2, n, level)
+        identity = np.eye(n ** (level + 1), dtype=complex)
+        assert dense.tobytes() == _shift_apply(f2, identity, n, level).tobytes()
+        sys = QuadraticSystem(f0=np.zeros(n), f1=np.eye(n), f2=f2)
+        upper = build_blocks(sys, level + 1).block_upper(level).toarray()
+        assert np.abs(dense - upper).max() <= 1e-14 * np.abs(upper).max()
 
 
 class TestDiagonalize:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys as interpreter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,12 +211,81 @@ class TestVectorField:
         x0 = np.full(n, 0.4 + 0.1j)
         times = np.linspace(0.0, 3.0, 31)
         traj = integrate_reference(sys, x0, times)
-        oracle = _dormand_prince(kron_field(sys), x0, times, 1e-12, 1e-12)
+        oracle = _dormand_prince(
+            kron_field(sys), x0, times, 1e-12, 1e-12, method="DOP853", land=True
+        )
         assert traj.states.tobytes() == oracle.states.tobytes()
 
 
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """``bench/workloads.py``, loaded by path without writing bytecode."""
+    monkeypatch.setattr(interpreter, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(interpreter.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def lift_benchmark_cases(bench, seed):
+    """(system, x0, times) of every reference solve the lift benchmark makes at ``seed``."""
+    runs = [(n, np.linspace(0.0, t, steps + 1)) for n, _k, t, steps in bench.LIFT_SIMULATIONS]
+    runs += [(n, np.array([0.0, bench.SWEEP_T])) for n, _lo, _hi in bench.LIFT_SWEEPS]
+    cases = []
+    for index, (n, times) in enumerate(runs):
+        f0, f1, f2, x0 = bench.stable_driven_system(bench._rng(seed, index), n)
+        cases.append((QuadraticSystem(f0=f0, f1=f1, f2=f2), x0, times))
+    return cases
+
+
+class TestReferenceOracles:
+    """The landing DOP853 reference against the RK45 dense-output solve it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lift_benchmark_references(self, bench_workloads, seed):
+        from carleman_lab.system import _dormand_prince
+
+        for system, x0, times in lift_benchmark_cases(bench_workloads, seed):
+            field = kron_field(system)
+            x0 = np.asarray(x0, dtype=complex)
+            states = integrate_reference(system, x0, times).states
+            rk45 = _dormand_prince(field, x0, times, 1e-12, 1e-12).states
+            tight = _dormand_prince(field, x0, times, 3e-14, 1e-18, method="DOP853").states
+            assert np.abs(states - rk45).max() <= 1e-12
+            assert np.abs(states - tight).max() <= 2e-13
+
+    def test_budget_caps_each_solve(self, monkeypatch):
+        from carleman_lab import system
+        from carleman_lab.errors import CapExceededError
+
+        nfev = []
+        real = system.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(system, "solve_ivp", recording)
+        field = kron_field(random_system(3))
+        x0, times = np.array([0.3, 0.1], dtype=complex), np.linspace(0.0, 2.0, 5)
+        system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
+        assert len(nfev) == len(times) - 1
+        # the samples' solves together may spend more than one solve's budget
+        monkeypatch.setattr(system, "RHS_BUDGET", max(nfev))
+        assert sum(nfev) > system.RHS_BUDGET
+        system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
+        monkeypatch.setattr(system, "RHS_BUDGET", max(nfev) - 1)
+        with pytest.raises(CapExceededError, match=f"budget of {max(nfev) - 1} "):
+            system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
+        with pytest.raises(CapExceededError):
+            system._dormand_prince(field, x0, times, 1e-12, 1e-12)
+
+
 class TestSolverPerCaller:
-    """The reference oracles stay on RK45; the supremum solve uses DOP853."""
+    """The reference and supremum solves use DOP853; the non-autonomous cross-check RK45."""
 
     @staticmethod
     def methods(monkeypatch):
@@ -228,11 +301,12 @@ class TestSolverPerCaller:
         monkeypatch.setattr(system, "solve_ivp", recording)
         return seen
 
-    def test_reference_solves_use_rk45(self, monkeypatch):
+    def test_reference_uses_dop853_cross_check_rk45(self, monkeypatch):
         seen = self.methods(monkeypatch)
+        # one reference solve per sample interval, one cross-check solve in all
         integrate_reference(random_system(2), [0.3, 0.1], np.linspace(0.0, 2.0, 5))
         integrate_nonautonomous(lambda _t, x: -x, [1.0], np.linspace(0.0, 1.0, 3))
-        assert seen == ["RK45", "RK45"]
+        assert seen == ["DOP853"] * 4 + ["RK45"]
 
     def test_supremum_uses_dop853(self, monkeypatch):
         from carleman_lab import conservative
