@@ -11,7 +11,6 @@ embeddings into larger autonomous driftless systems.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,7 +32,7 @@ from .errors import (
     ZeroNonlinearityError,
 )
 from .linalg import as_cmatrix, as_cvector, kron2, kron_pair
-from .system import QuadraticSystem, _dormand_prince
+from .system import QuadraticSystem, _taylor_solve
 
 DETECTION_TOL_DEFAULT = 1e-9
 XMAX_SAFETY = 1.02
@@ -137,8 +136,9 @@ def estimate_x_max_tilde(
 ) -> float:
     """Empirical sup of ||Q^{-1} x(t)|| over [0, horizon], padded by 2%.
 
-    This is an estimate from a DOP853 solve (rtol = atol = ``tol``,
-    1e-12 by default) sampled at 2001 evenly spaced times, not a proof;
+    This is an estimate from the Taylor solve of :func:`system._taylor_solve`
+    (rtol = atol = ``tol``, 1e-12 by default) sampled at 2001 evenly
+    spaced times, not a proof;
     certificates built on it carry an "empirical-supremum" caveat.  A
     finite-time escape raises :class:`StepSizeUnderflowError` or
     :class:`NonFiniteStateError`.
@@ -148,7 +148,8 @@ def estimate_x_max_tilde(
     The solve then runs in the unshifted frame z = exp(-i w t) x, where
     z' = (F1 - i w I) z + exp(i w t) F2 (z (x) z): the phase is a scalar,
     so ||Q^{-1} x(t)|| = ||Q^{-1} z(t)||, but z does not carry the fast
-    rotation at w that the solver would otherwise have to resolve.
+    rotation at w that the solver would otherwise have to resolve; the
+    phase enters the Taylor recurrence through its exact coefficients.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -161,18 +162,8 @@ def estimate_x_max_tilde(
         raise SingularQError(str(exc)) from exc
     v0 = as_cvector(x0)
     ts = np.linspace(0.0, float(horizon), _XMAX_SAMPLES)
-    if frequency:
-        f1, f2 = sys.f1 - 1j * frequency * np.eye(sys.n), sys.f2
-
-        def field(t, z):
-            return f1 @ z + cmath.exp(1j * frequency * t) * (f2 @ kron_pair(z))
-
-    else:
-
-        def field(_t, y):
-            return sys.vector_field(y)
-
-    states = _dormand_prince(field, v0, ts, tol, tol, method="DOP853").states.T
+    f1 = sys.f1 - 1j * frequency * np.eye(sys.n)
+    states = _taylor_solve(sys.f0, f1, sys.f2, v0, ts, tol, tol, frequency=frequency).states.T
     sup = float(np.max(np.linalg.norm(qinv @ states, axis=0)))
     return XMAX_SAFETY * sup
 

@@ -5,12 +5,15 @@ back to the state space, stored dense with column index j*N + l for the
 (j, l) slot pair.  The coefficient arrays are read-only, so each system
 can carry its :class:`Spectrum`, the eigenbasis data every certifier
 reads, computed once on first use.  The module also hosts the
-high-accuracy adaptive reference integrator that all truncation-error
-measurements are judged against.
+high-accuracy Taylor integrator that all truncation-error measurements
+are judged against and that solves the certifiers' trajectory
+supremum, and the RK45 solve that cross-checks the embeddings.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,13 +43,17 @@ from .linalg import (
 
 _RNG_PROBES = 8
 
-# right-hand-side evaluations one adaptive solve may spend: about 30x
-# the most any test or benchmark request needs (6 506, a finite-time
-# escape), and twice what an ``oscillator_network`` supremum at
-# --f2-frequency 700 needs (94 289).  The budget is per solve, not per
-# call of :func:`_dormand_prince`, so that the number of samples a
-# landing solve is asked for does not count against it.
+# right-hand-side evaluations one solve may spend, where each Taylor
+# coefficient order counts as one: about 80x the most any test needs
+# (2 580, a finite-time escape; a benchmark request needs at most 1 040),
+# and 3.7x what an ``oscillator_network`` supremum at --f2-frequency 700
+# needs (54 580).
 RHS_BUDGET = 200_000
+
+# order of the Taylor polynomial each reference and supremum step takes,
+# and the step's safety factor exp(-0.7 / (p - 1)) (Jorba and Zou)
+TAYLOR_ORDER = 20
+_STEP_SAFETY = math.exp(-0.7 / (TAYLOR_ORDER - 1))
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,11 @@ class QuadraticSystem:
     def vector_field(self, y: np.ndarray) -> np.ndarray:
         """F0 + F1 y + F2 (y (x) y) for a complex state of dimension n, unchecked.
 
-        The one evaluation of the vector field: the reference and supremum
-        solves call it at every stage, so it skips the coercion and
-        dimension checks that :func:`rhs` makes.
+        The one evaluation of the vector field, for callers that evaluate
+        it repeatedly (the Fourier-mode right-hand side of the RK45
+        cross-check, residual checks), so it skips the coercion and
+        dimension checks that :func:`rhs` makes.  The Taylor solves do not
+        call it: they take the field's coefficients.
         """
         return self.f0 + self.f1 @ y + self.f2 @ kron_pair(y)
 
@@ -106,8 +115,8 @@ class Spectrum:
     2-norm (NaN when Q^{-1} is not finite), column sparsity and ||Q||_2;
     ``f0_tilde_norm`` is ||Q^{-1} F0||.  :meth:`diagonalizable` is the one
     refusal of a numerically defective F1.  :meth:`x_max_tilde` memoizes
-    the empirical trajectory supremum in the eigenbasis, or its
-    finite-time escape, per (x0, horizon, tol, frequency).
+    the empirical trajectory supremum in the eigenbasis, from one Taylor
+    solve, or its finite-time escape, per (x0, horizon, tol, frequency).
     """
 
     system: QuadraticSystem = field(repr=False)
@@ -242,14 +251,15 @@ def integrate_reference(
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-12,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 8(5,3) solve that lands on the requested times.
+    """Adaptive order-20 Taylor solve, read at the requested times.
 
-    Local error is controlled per step by rel_tol*|x| + abs_tol.  The
-    system is autonomous, so each sample comes from one solve over
-    [0, t_(i+1) - t_i] started at the one before, and is that solve's
-    last step endpoint, not a dense-output interpolant.  This is the
-    brute-force oracle every Carleman truncation error is measured
-    against, so the defaults are near the binary64 floor.
+    The Taylor coefficients of a quadratic field follow exactly from a
+    Cauchy-product recurrence; each step keeps the last two terms of its
+    polynomial below abs_tol + rel_tol*||x||_inf, and every sample is that
+    step's polynomial evaluated at it, so samples cost no solver work
+    (see :func:`_taylor_solve`).  This is the brute-force oracle every
+    Carleman truncation error is measured against, so the defaults are
+    near the binary64 floor.
     """
     v0 = as_cvector(x0)
     if v0.size != sys.n:
@@ -257,10 +267,7 @@ def integrate_reference(
     for tol in (rel_tol, abs_tol):
         if not 1e-14 <= tol <= 1e-3:
             raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
-    return _dormand_prince(
-        lambda _t, y: sys.vector_field(y), v0, times, rel_tol, abs_tol,
-        method="DOP853", land=True,
-    )
+    return _taylor_solve(sys.f0, sys.f1, sys.f2, v0, times, rel_tol, abs_tol)
 
 
 def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
@@ -269,62 +276,167 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
     One solve over the whole span, read at the times from its dense
     output.  Used to cross-check the autonomous embeddings of driven and
     oscillating systems against a direct non-autonomous solve by a
-    different method.
+    different method and code base than the Taylor reference.
     """
     return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
 
 
-def _dormand_prince(
-    f, v0: np.ndarray, times, rel_tol, abs_tol, *, method: str = "RK45", land: bool = False
-) -> Trajectory:
-    """Dormand-Prince solve of xdot = f(t, x) at the given times, with one failure policy.
-
-    ``method`` is the scipy pair, fixed by each caller: the 5(4) pair
-    "RK45" for the non-autonomous cross-check, the 8(5,3) pair "DOP853"
-    for the reference oracle and the certifiers' trajectory supremum.
-    By default one solve covers [0, times[-1]] and the states are read
-    from its interpolant; ``land=True``, for an autonomous f only,
-    restarts the solve at every sample, so each state is a step endpoint.
-    The times must start at 0 and increase strictly.  Each solve may
-    spend :data:`RHS_BUDGET` evaluations of f, beyond which it raises
-    :class:`CapExceededError`.  A collapsed step raises
-    :class:`StepSizeUnderflowError`, any other solver failure or a
-    non-finite sampled state raises :class:`NonFiniteStateError`.
-    """
+def _sample_times(times) -> np.ndarray:
+    """``times`` as floats, refused unless they start at 0 and increase strictly."""
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
+    return t
+
+
+def _budget_error() -> CapExceededError:
+    return CapExceededError(
+        f"solve exceeded its budget of {RHS_BUDGET} right-hand-side evaluations"
+    )
+
+
+def _taylor_solve(
+    f0, f1, f2, x0: np.ndarray, times, rel_tol, abs_tol, *, frequency: float = 0.0
+) -> Trajectory:
+    """Taylor solve of xdot = F0 + F1 x + exp(i w t) F2 (x (x) x), read at the times.
+
+    w is ``frequency``; at 0 the field is the autonomous quadratic one.
+    At each step from t the coefficients of x(t + s) = sum_m X_m s^m
+    follow exactly from X_0 = x(t) and
+
+        X_(m+1) = (delta_m0 F0 + F1 X_m + F2 sum_a U_a C_(m-a)) / (m + 1),
+
+    with C_k = sum_i X_i (x) X_(k-i) the Cauchy sum and U_a the Taylor
+    coefficients exp(i w t) (i w)^a / a! of the phase (U_0 = 1 at w = 0);
+    see :func:`_taylor_coefficients`.  They are kept scaled by the
+    previous step r, as Y_m = X_m r^m, so that they stay near ||x||
+    instead of overflowing.  With p = :data:`TAYLOR_ORDER` and
+    eps = abs_tol + rel_tol ||x||_inf, the step is
+
+        h = r exp(-0.7 / (p - 1)) min_(m in {p-1, p}) (eps / ||Y_m||_inf)^(1/m)
+
+    (Jorba and Zou, Experimental Mathematics 14, 2005), and every sample
+    in (t, t + h] is the step's polynomial, evaluated by Horner.  The
+    failure policy is :func:`_dormand_prince`'s: each coefficient order
+    counts as one right-hand-side evaluation against :data:`RHS_BUDGET`,
+    a step below 10 ulp of t raises :class:`StepSizeUnderflowError` and a
+    non-finite coefficient raises :class:`NonFiniteStateError`.
+    """
+    t = _sample_times(times)
+    g = _homogenized(f0, f1, f2)
+    states = np.empty((t.size, x0.size), dtype=complex)
+    states[0] = x = x0
+    end, now, filled, spent = float(t[-1]), 0.0, 1, 0
+    # the first step has no previous one; 1 over a bound on the field's
+    # rate of change near x0 keeps its scaled coefficients near ||x0|| too
+    f2_norm = np.abs(f2).sum(axis=1).max()
+    rate = (
+        np.abs(f1).sum(axis=1).max() + 2.0 * f2_norm * np.abs(x0).max()
+        + np.sqrt(f2_norm * np.abs(f0).max()) + abs(frequency)
+    )
+    r = min(end, 1.0 / rate) if rate > 0 else end
+    ladder = np.arange(1, TAYLOR_ORDER + 1)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite coefficient
+        while now < end:
+            spent += TAYLOR_ORDER
+            if spent > RHS_BUDGET:
+                raise _budget_error()
+            phase = None
+            if frequency:
+                ratios = np.concatenate(([1.0], 1j * frequency * r / ladder))
+                phase = cmath.exp(1j * frequency * now) * np.cumprod(ratios)
+            y = _taylor_coefficients(g, x, r, phase)
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteStateError("integration produced non-finite state")
+            eps = abs_tol + rel_tol * np.abs(x).max()
+            tail = np.abs(y[-2:]).max(axis=1)
+            h = r * _STEP_SAFETY * np.min((eps / tail) ** (1.0 / ladder[-2:]))
+            if h < 10.0 * np.spacing(now):
+                raise StepSizeUnderflowError(
+                    "Required step size is less than spacing between numbers."
+                )
+            stop = min(now + h, end)
+            last = int(np.searchsorted(t, stop, side="right"))
+            theta = (np.append(t[filled:last], stop) - now)[:, None] / r
+            acc = y[TAYLOR_ORDER] * theta
+            for m in range(TAYLOR_ORDER - 1, 0, -1):
+                acc += y[m]
+                acc *= theta
+            acc += y[0]
+            states[filled:last] = acc[:-1]
+            x, filled, now, r = acc[-1], last, stop, h
+    return Trajectory(t, states, rel_tol)
+
+
+def _homogenized(f0, f1, f2) -> np.ndarray:
+    """The (n, (n+1)^2) matrix g with g (z (x) z) = F0 + F1 x + F2 (x (x) x) for z = [1, x].
+
+    F0 sits in the (1, 1) slot, F1 in the (1, x) slots and F2 in the
+    (x, x) ones; the (x, 1) slots stay zero.
+    """
+    n = f1.shape[0]
+    g = np.zeros((n, n + 1, n + 1), dtype=complex)
+    g[:, 0, 0], g[:, 0, 1:], g[:, 1:, 1:] = f0, f1, f2.reshape(n, n, n)
+    return g.reshape(n, -1)
+
+
+def _taylor_coefficients(g, x, r, phase=None) -> np.ndarray:
+    """Y_m = X_m r^m, m = 0..p, of the solution through x (see :func:`_taylor_solve`).
+
+    ``g`` is the field homogenized on z = [1, x] (:func:`_homogenized`).
+    The constant coordinate has Z_0 = 1 and Z_m = 0 after, so the Cauchy sum
+    sum_i Z_i (x) Z_(m-i) carries delta_m0, Y_m and C_m at once and each
+    order is one product with g.  ``phase`` holds U_a r^a, a <= p, of the
+    factor on the F2 term (None for the constant 1); it enters through
+    the phase-weighted coefficients V_k = sum_a U_a r^a Y_(k-a), since
+    sum_a U_a C_(m-a) = sum_i V_i (x) Y_(m-i).
+    """
+    z = np.zeros((TAYLOR_ORDER + 1, x.size + 1), dtype=complex)
+    z[0, 0], z[0, 1:] = 1.0, x
+    v = z
+    if phase is not None:
+        v = z.copy()
+        v[0, 1:] *= phase[0]
+    for m in range(TAYLOR_ORDER):
+        cauchy = v[: m + 1].T @ z[m::-1]
+        z[m + 1, 1:] = (g @ cauchy.reshape(-1)) * (r / (m + 1))
+        if phase is not None:
+            v[m + 1, 1:] = phase[: m + 2] @ z[m + 1 :: -1, 1:]
+    return z[:, 1:]
+
+
+def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
+    """RK45 (Dormand-Prince 5(4)) solve of xdot = f(t, x), read at the times.
+
+    One solve covers [0, times[-1]] and the states are read from its
+    interpolant.  The times must start at 0 and increase strictly.  The
+    solve may spend :data:`RHS_BUDGET` evaluations of f, beyond which it
+    raises :class:`CapExceededError`.  A collapsed step raises
+    :class:`StepSizeUnderflowError`, any other solver failure or a
+    non-finite sampled state raises :class:`NonFiniteStateError`.
+    """
+    t = _sample_times(times)
     if t.size == 1:
         return Trajectory(t, v0[None, :].copy(), rel_tol)
-
-    def solve(y0, end, t_eval=None) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # rtol clamping near eps is fine
-            sol = solve_ivp(
-                _budgeted(f),
-                (0.0, end),
-                y0,
-                method=method,
-                t_eval=t_eval,
-                rtol=max(rel_tol, 3e-14),
-                atol=abs_tol,
-            )
-        if not sol.success:
-            msg = sol.message or "integration failed"
-            if "step size" in msg.lower() or sol.status == -1:
-                raise StepSizeUnderflowError(msg)
-            raise NonFiniteStateError(msg)
-        if not np.all(np.isfinite(sol.y)):
-            raise NonFiniteStateError("integration produced non-finite state")
-        return sol.y
-
-    if not land:
-        return Trajectory(t, solve(v0.astype(complex), float(t[-1]), t).T, rel_tol)
-    states = np.empty((t.size, v0.size), dtype=complex)
-    states[0] = v0
-    for i, dt in enumerate(np.diff(t), start=1):
-        states[i] = solve(states[i - 1], float(dt))[:, -1]
-    return Trajectory(t, states, rel_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
+        sol = solve_ivp(
+            _budgeted(f),
+            (0.0, float(t[-1])),
+            v0.astype(complex),
+            method="RK45",
+            t_eval=t,
+            rtol=max(rel_tol, 3e-14),
+            atol=abs_tol,
+        )
+    if not sol.success:
+        msg = sol.message or "integration failed"
+        if "step size" in msg.lower() or sol.status == -1:
+            raise StepSizeUnderflowError(msg)
+        raise NonFiniteStateError(msg)
+    if not np.all(np.isfinite(sol.y)):
+        raise NonFiniteStateError("integration produced non-finite state")
+    return Trajectory(t, sol.y.T, rel_tol)
 
 
 def _budgeted(f):
@@ -335,9 +447,7 @@ def _budgeted(f):
         nonlocal calls
         calls += 1
         if calls > RHS_BUDGET:
-            raise CapExceededError(
-                f"solve exceeded its budget of {RHS_BUDGET} right-hand-side evaluations"
-            )
+            raise _budget_error()
         return f(t, y)
 
     return counted

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -657,6 +658,18 @@ class TestCertifyChain:
             "input error: solve exceeded its budget of 20000 right-hand-side evaluations\n"
         )
         assert not out.exists()
+
+    def test_escape_and_runaway_raise_no_warnings(self, monkeypatch, tmp_path, capsys):
+        from carleman_lab import system
+
+        monkeypatch.setattr(system, "RHS_BUDGET", 20_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*self.ESCAPE, "--out", str(tmp_path / "escape.json")]) == 3
+            assert run([*self.NETWORK[:-1], "1e17", "--out", str(tmp_path / "w.json")]) == 1
+        assert capsys.readouterr().err == (
+            "input error: solve exceeded its budget of 20000 right-hand-side evaluations\n"
+        )
 
     def test_tight_first_block_flag_is_gone(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,13 @@
 import importlib.util
 import sys as interpreter
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from carleman_lab import linalg
 from carleman_lab.errors import (
@@ -163,6 +165,14 @@ class TestIntegrateReference:
         with pytest.raises(StepSizeUnderflowError):
             integrate_reference(sys, [5.0], np.linspace(0, 10, 11), 1e-10, 1e-10)
 
+    def test_overflow_detected_without_warnings(self):
+        # x0 (x) x0 overflows in the first step's coefficients
+        sys = scalar_system(-1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                integrate_reference(sys, [1e160], np.linspace(0, 1, 3))
+
     def test_nonautonomous_overflow_detected(self):
         # the solver accepts every step while the state overflows to inf
         with pytest.raises(NonFiniteStateError):
@@ -205,16 +215,23 @@ class TestVectorField:
 
     @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 3)])
     def test_reference_solve_bitwise_equal_to_kron_closure(self, seed, n):
-        from carleman_lab.system import _dormand_prince
+        # the reference's Taylor recurrence against the np.kron closure:
+        # X_1 is the field, X_2 = (F1 X_1 + F2 (X_1 (x) x + x (x) X_1)) / 2,
+        # and the scaled coefficients are X_m r^m
+        from carleman_lab.system import _homogenized, _taylor_coefficients
 
         sys = random_system(seed, n=n, f2_scale=0.3)
         x0 = np.full(n, 0.4 + 0.1j)
-        times = np.linspace(0.0, 3.0, 31)
-        traj = integrate_reference(sys, x0, times)
-        oracle = _dormand_prince(
-            kron_field(sys), x0, times, 1e-12, 1e-12, method="DOP853", land=True
-        )
-        assert traj.states.tobytes() == oracle.states.tobytes()
+        g = _homogenized(sys.f0, sys.f1, sys.f2)
+        coeffs = _taylor_coefficients(g, x0, 1.0)
+        field = kron_field(sys)(0.0, x0)
+        second = (sys.f1 @ field + sys.f2 @ (np.kron(field, x0) + np.kron(x0, field))) / 2
+        assert coeffs[0].tobytes() == x0.tobytes()
+        assert np.linalg.norm(coeffs[1] - field) <= 1e-15 * np.linalg.norm(field)
+        assert np.linalg.norm(coeffs[2] - second) <= 1e-14 * np.linalg.norm(second)
+        scaled = _taylor_coefficients(g, x0, 0.5)
+        powers = 0.5 ** np.arange(coeffs.shape[0])
+        assert np.allclose(scaled, coeffs * powers[:, None], rtol=1e-13, atol=0)
 
 
 @pytest.fixture
@@ -241,7 +258,7 @@ def lift_benchmark_cases(bench, seed):
 
 
 class TestReferenceOracles:
-    """The landing DOP853 reference against the RK45 dense-output solve it replaced."""
+    """The Taylor reference against an RK45 dense-output solve and a tight DOP853 solve."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lift_benchmark_references(self, bench_workloads, seed):
@@ -252,7 +269,10 @@ class TestReferenceOracles:
             x0 = np.asarray(x0, dtype=complex)
             states = integrate_reference(system, x0, times).states
             rk45 = _dormand_prince(field, x0, times, 1e-12, 1e-12).states
-            tight = _dormand_prince(field, x0, times, 3e-14, 1e-18, method="DOP853").states
+            tight = solve_ivp(
+                field, (0.0, times[-1]), x0, method="DOP853", t_eval=times,
+                rtol=3e-14, atol=1e-18,
+            ).y.T
             assert np.abs(states - rk45).max() <= 1e-12
             assert np.abs(states - tight).max() <= 2e-13
 
@@ -260,32 +280,53 @@ class TestReferenceOracles:
         from carleman_lab import system
         from carleman_lab.errors import CapExceededError
 
-        nfev = []
-        real = system.solve_ivp
-
-        def recording(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            nfev.append(sol.nfev)
-            return sol
-
-        monkeypatch.setattr(system, "solve_ivp", recording)
-        field = kron_field(random_system(3))
+        steps = count_taylor_steps(monkeypatch)
+        sys = random_system(3)
         x0, times = np.array([0.3, 0.1], dtype=complex), np.linspace(0.0, 2.0, 5)
-        system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
-        assert len(nfev) == len(times) - 1
-        # the samples' solves together may spend more than one solve's budget
-        monkeypatch.setattr(system, "RHS_BUDGET", max(nfev))
-        assert sum(nfev) > system.RHS_BUDGET
-        system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
-        monkeypatch.setattr(system, "RHS_BUDGET", max(nfev) - 1)
-        with pytest.raises(CapExceededError, match=f"budget of {max(nfev) - 1} "):
-            system._dormand_prince(field, x0, times, 1e-12, 1e-12, method="DOP853", land=True)
+        integrate_reference(sys, x0, times)
+        # each step spends one right-hand-side evaluation per coefficient order
+        spent = len(steps) * system.TAYLOR_ORDER
+        monkeypatch.setattr(system, "RHS_BUDGET", spent)
+        integrate_reference(sys, x0, times)
+        monkeypatch.setattr(system, "RHS_BUDGET", spent - 1)
+        with pytest.raises(CapExceededError, match=f"budget of {spent - 1} "):
+            integrate_reference(sys, x0, times)
+        # the RK45 cross-check has the same budget
         with pytest.raises(CapExceededError):
-            system._dormand_prince(field, x0, times, 1e-12, 1e-12)
+            system._dormand_prince(kron_field(sys), x0, times, 1e-12, 1e-12)
+
+    def test_dense_samples_cost_no_steps(self, monkeypatch):
+        from carleman_lab import system
+
+        steps = count_taylor_steps(monkeypatch)
+        sys = random_system(3)
+        x0 = np.array([0.3, 0.1], dtype=complex)
+        coarse = integrate_reference(sys, x0, [0.0, 2.0])
+        taken = len(steps)
+        monkeypatch.setattr(system, "RHS_BUDGET", taken * system.TAYLOR_ORDER)
+        dense = integrate_reference(sys, x0, np.linspace(0.0, 2.0, 10_001))
+        # the samples are read off the same steps' polynomials
+        assert len(steps) == 2 * taken
+        assert dense.states[-1].tobytes() == coarse.states[-1].tobytes()
+
+
+def count_taylor_steps(monkeypatch) -> list:
+    """Record each step of the Taylor solve (one coefficient computation each)."""
+    from carleman_lab import system
+
+    steps = []
+    real = system._taylor_coefficients
+
+    def recording(*args, **kwargs):
+        steps.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(system, "_taylor_coefficients", recording)
+    return steps
 
 
 class TestSolverPerCaller:
-    """The reference and supremum solves use DOP853; the non-autonomous cross-check RK45."""
+    """The reference and supremum solves run no scipy solver; the cross-check runs RK45."""
 
     @staticmethod
     def methods(monkeypatch):
@@ -303,19 +344,20 @@ class TestSolverPerCaller:
 
     def test_reference_uses_dop853_cross_check_rk45(self, monkeypatch):
         seen = self.methods(monkeypatch)
-        # one reference solve per sample interval, one cross-check solve in all
         integrate_reference(random_system(2), [0.3, 0.1], np.linspace(0.0, 2.0, 5))
+        assert seen == []
         integrate_nonautonomous(lambda _t, x: -x, [1.0], np.linspace(0.0, 1.0, 3))
-        assert seen == ["DOP853"] * 4 + ["RK45"]
+        assert seen == ["RK45"]
 
     def test_supremum_uses_dop853(self, monkeypatch):
         from carleman_lab import conservative
 
         seen = self.methods(monkeypatch)
+        steps = count_taylor_steps(monkeypatch)
         sys = random_system(2)
         conservative.estimate_x_max_tilde(sys, [0.3, 0.1], np.eye(2), 2.0)
         sys.spectrum.x_max_tilde([0.3, 0.1], 2.0, 1e-12)
-        assert seen == ["DOP853", "DOP853"]
+        assert seen == [] and steps
 
 
 class TestNormMonotonicity:
