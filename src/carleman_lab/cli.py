@@ -204,7 +204,7 @@ def _cert_dict(cert, criterion: str, fields: tuple) -> dict:
 def cmd_certify(args) -> int:
     """Run the certifier stages in order; stop at the first success unless --all."""
     sysd, x0, _fix = _load_system(args)
-    kw = {"horizon": args.t if args.t else 10.0, "tol": args.tol}
+    kw = {"horizon": args.t, "tol": args.tol}
     stages = [
         ("stable", lambda: stability.optimize_rp(sysd, x0, budget=args.budget),
          "R_P", _STABLE_FIELDS),
@@ -250,8 +250,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     sysd, x0, _fix = _load_system(args)
-    t_final = args.t if args.t else 2.0
-    times = np.linspace(0.0, t_final, args.steps + 1)
+    times = np.linspace(0.0, args.t, args.steps + 1)
     profile = carleman.error_profile(
         sysd, x0, args.k, times, tol=args.tol, cap=_cap(args)
     )
@@ -292,9 +291,13 @@ def _parse_range(raw: str):
 def cmd_scan(args) -> int:
     if not args.fixture:
         raise ValueError("scan requires --fixture")
-    raw_params = _parse_params(args.param)
-    ranged = {k: _parse_range(v) for k, v in raw_params.items() if _parse_range(v) is not None}
-    fixed = {k: _parse_value(v) for k, v in raw_params.items() if k not in ranged}
+    ranged, fixed = {}, {}
+    for key, raw in _parse_params(args.param).items():
+        grid = _parse_range(raw)
+        if grid is None:
+            fixed[key] = _parse_value(raw)
+        else:
+            ranged[key] = grid
     if len(ranged) != 2:
         raise ValueError("scan requires exactly two ranged parameters lo:hi:count")
     (k1, grid1), (k2, grid2) = ranged.items()

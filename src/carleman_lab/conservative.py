@@ -4,9 +4,12 @@ Marginal modes (eigenvalues on the imaginary axis) are admissible when
 they correspond to conserved or oscillating linear quantities, i.e. when
 their left eigenvectors annihilate the quadratic term (and the drive for
 truly conserved ones).  Convergence of the lift is then governed by the
-real spectral gap of the dissipative modes.  Driving, explicit time
-dependence, and quadratic conserved observables are handled by exact
-embeddings into larger autonomous driftless systems.
+real spectral gap delta of the dissipative modes, through the R-number
+R_delta.  That R-number, like the nonresonant ones, rests on the
+empirical trajectory supremum x_max~ estimated here.  Driving, explicit
+time dependence, and quadratic conserved observables are handled by
+exact embeddings into larger autonomous systems; the drive's embedding
+and the one on [x, x (x) x] for quadratic observables are driftless.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
     SingularQError,
     StepSizeUnderflowError,
     UncertifiedError,
-    UnsupportedOrderError,
     ZeroAncillaSeedError,
     ZeroDriveError,
     ZeroNonlinearityError,
@@ -137,8 +139,8 @@ def estimate_x_max_tilde(
     """Empirical sup of ||Q^{-1} x(t)|| over [0, horizon], padded by 2%.
 
     This is an estimate from the Taylor solve of :func:`system._taylor_solve`
-    (rtol = atol = ``tol``, 1e-12 by default) sampled at 2001 evenly
-    spaced times, not a proof;
+    (rtol = atol = ``tol``, 1e-12 by default; outside [1e-14, 1e-3] it
+    raises ValueError) sampled at 2001 evenly spaced times, not a proof;
     certificates built on it carry an "empirical-supremum" caveat.  A
     finite-time escape raises :class:`StepSizeUnderflowError` or
     :class:`NonFiniteStateError`.
@@ -179,11 +181,7 @@ class ConservativeCertificate:
     p: float
     certified: bool
     reason: str = ""
-    q: np.ndarray | None = None
     upsilon: float | None = None
-    tight_first_block: bool = False
-    gamma0_tight: float | None = None
-    value_tight: float | None = None
     caveats: tuple = ()
 
     @property
@@ -197,7 +195,6 @@ def certify_conservative(
     horizon: float = 10.0,
     tol: float = 1e-12,
     p: float = 1.0,
-    tight_first_block: bool = False,
 ) -> ConservativeCertificate:
     """Run the full gap-certification pipeline on one system.
 
@@ -219,7 +216,6 @@ def certify_conservative(
             p=p,
             certified=False,
             reason=reason,
-            tight_first_block=tight_first_block,
         )
 
     try:
@@ -237,7 +233,6 @@ def certify_conservative(
         delta = real_spectral_gap(spec.dec.eigenvalues)
     except (PositiveRealPartError, NoDissipativeModeError) as exc:
         return refuse(str(exc))
-    q = spec.dec.right_vectors
     try:
         x_max = spec.x_max_tilde(x0, horizon, tol)
     except (StepSizeUnderflowError, NonFiniteStateError):
@@ -245,14 +240,13 @@ def certify_conservative(
     f2_t = spec.f2_tilde_norm
     q_norm = spec.q_norm
     gamma0 = math.e * f2_t / (delta * q_norm)
-    gamma0_tight = 16.0 * f2_t / (delta * q_norm)
     upsilon = None
     if np.linalg.norm(sys.f0) > 0:
         if f2_t == 0.0:
             return replace(
                 refuse("driven system with vanishing nonlinearity: ancilla "
                        "amplitude undefined"),
-                delta=delta, x_max_tilde=x_max, gamma0=gamma0, q=q,
+                delta=delta, x_max_tilde=x_max, gamma0=gamma0,
             )
         f0_t = spec.f0_tilde_norm
         upsilon = math.sqrt(f0_t / f2_t)
@@ -263,10 +257,8 @@ def certify_conservative(
             * math.sqrt(x_max**2 + f0_t / f2_t)
             / delta
         )
-        value_tight = value * 2.0 / math.e
     else:
         value = 2.0 * math.e * x_max * f2_t / delta
-        value_tight = 4.0 * x_max * f2_t / delta
     return ConservativeCertificate(
         value=float(value),
         delta=delta,
@@ -275,27 +267,17 @@ def certify_conservative(
         p=p,
         certified=bool(value < 1.0),
         reason="" if value < 1.0 else "R-number >= 1",
-        q=q,
         upsilon=upsilon,
-        tight_first_block=tight_first_block,
-        gamma0_tight=gamma0_tight,
-        value_tight=float(value_tight),
         caveats=("empirical-supremum",),
     )
 
 
 def conservative_error_bound(cert: ConservativeCertificate, j: int, k: int) -> float:
-    """Time-uniform per-block bound j/(2(k+1)) p^j R^(k+1) for the rescaled lift.
-
-    With the tight-first-block option and j = 1 the sharper constants
-    (bound p * R_tight^(k+1), rescaling gamma0_tight) apply instead.
-    """
+    """Time-uniform per-block bound j/(2(k+1)) p^j R^(k+1) for the rescaled lift."""
     if not cert.certified:
         raise UncertifiedError(cert.reason or "certificate is not certified")
     if not (1 <= j <= k):
         raise ValueError("need 1 <= j <= k")
-    if cert.tight_first_block and j == 1:
-        return float(cert.p * cert.value_tight ** (k + 1))
     return float(j / (2.0 * (k + 1)) * cert.p**j * cert.value ** (k + 1))
 
 
@@ -314,17 +296,6 @@ class DrivingEmbedding:
     def lift_state(self, x0) -> np.ndarray:
         v = as_cvector(x0)
         return np.concatenate([v, [self.gamma * self.upsilon]])
-
-    def discard_indices(self, j: int) -> np.ndarray:
-        """Indices of the level-j lift that involve only original coordinates."""
-        n_ext = self.extended.n
-        n = n_ext - 1
-        idx = np.arange(n_ext**j)
-        keep = np.ones(n_ext**j, dtype=bool)
-        for slot in range(j):
-            digit = (idx // n_ext ** (j - 1 - slot)) % n_ext
-            keep &= digit < n
-        return np.nonzero(keep)[0]
 
 
 def embed_driving(
@@ -361,9 +332,7 @@ def embed_driving(
     g2_t = g2.reshape(m, m, m)
     g2_t[:n, :n, :n] = f2
     g2_t[:n, n, n] = coupling
-    extended = QuadraticSystem(
-        f0=np.zeros(m), f1=g1, f2=g2_t.reshape(m, m * m), symmetrized=False
-    )
+    extended = QuadraticSystem(f0=np.zeros(m), f1=g1, f2=g2_t.reshape(m, m * m))
     return DrivingEmbedding(extended, float(gamma), float(upsilon))
 
 
@@ -446,41 +415,22 @@ class PolynomialLift:
 
     lifted: QuadraticSystem
     n_original: int
-    a22: np.ndarray
-    a23: np.ndarray
 
     def lift_state(self, x0) -> np.ndarray:
         v = as_cvector(x0)
         return np.concatenate([v, kron_pair(v)])
 
-    def check_conserved(self, q2, tol: float = 1e-10) -> dict:
-        """Residuals of a candidate quadratic invariant against both sectors."""
-        w = as_cvector(q2)
-        if w.size != self.n_original**2:
-            raise ValueError("candidate must live on the tensor-square sector")
-        r22 = float(np.linalg.norm(w.conj() @ self.a22))
-        r23 = float(np.linalg.norm(w.conj() @ self.a23))
-        scale = max(
-            np.linalg.norm(self.a22, 2) + np.linalg.norm(self.a23, 2), 1e-300
-        )
-        return {
-            "residual_linear": r22,
-            "residual_quadratic": r23,
-            "conserved": bool(r22 <= tol * scale and r23 <= tol * scale),
-        }
 
-
-def embed_polynomial_conserved(sys: QuadraticSystem, r: int = 2) -> PolynomialLift:
+def embed_polynomial_conserved(sys: QuadraticSystem) -> PolynomialLift:
     """Realize quadratic conserved observables as linear ones in a lifted system.
 
-    Only the quadratic order is supported: the lifted state is
-    [x, x (x) x], the cubic feedback enters through a quadratic term
-    supported on the (sector-1 (x) sector-2) subspace, and a candidate
-    quadratic form is conserved iff it annihilates both the level-2 drift
-    and the level-2-to-3 coupling.
+    The lifted state is [x, x (x) x], and the cubic feedback enters
+    through a quadratic term supported on the (sector-1 (x) sector-2)
+    subspace.  A quadratic form w on the tensor-square sector is conserved
+    iff the linear functional [0, w] is conserved by the lifted system:
+    iff w annihilates both the level-2 drift and the level-2-to-3
+    coupling.
     """
-    if r != 2:
-        raise UnsupportedOrderError("only quadratic conserved observables supported")
     if np.linalg.norm(sys.f0) > 0:
         raise DriveNotSupportedError("polynomial lift requires F0 = 0")
     n = sys.n
@@ -499,4 +449,4 @@ def embed_polynomial_conserved(sys: QuadraticSystem, r: int = 2) -> PolynomialLi
     lifted = QuadraticSystem(
         f0=np.zeros(m), f1=f1_lift, f2=f2_lift.reshape(m, m * m)
     )
-    return PolynomialLift(lifted, n, a22, a23)
+    return PolynomialLift(lifted, n)

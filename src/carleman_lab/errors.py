@@ -113,10 +113,6 @@ class ZeroAncillaSeedError(CarlemanLabError):
     """Ancilla initial values must be nonzero."""
 
 
-class UnsupportedOrderError(CarlemanLabError):
-    """Only the supported polynomial order is implemented."""
-
-
 class DriveNotSupportedError(CarlemanLabError):
     """The operation requires a driftless system (F0 = 0)."""
 
@@ -127,10 +123,6 @@ class NotPoincareError(CarlemanLabError):
 
 class ResonanceFoundError(CarlemanLabError):
     """A resonant eigenvalue combination was detected."""
-
-    def __init__(self, message, tuples=None):
-        super().__init__(message)
-        self.tuples = tuples or []
 
 
 class ResonantDenominatorError(CarlemanLabError):

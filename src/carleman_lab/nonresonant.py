@@ -1,4 +1,4 @@
-"""Resonance analysis and explicit diagonalization of Carleman lifts.
+"""No-resonance gaps, the explicit diagonalization of Carleman lifts, and their certificates.
 
 For a driftless system with diagonalizable linear part, the lift
 generator is block upper bidiagonal and, absent resonances among the
@@ -7,10 +7,13 @@ eigenvalue sums.  The similarity transform, the Carleman matrix of the
 normal-form map, and its inverse, that of the map's compositional
 inverse, decompose into blocks indexed by binary forests.  As Carleman
 matrices of maps, both follow from their first block rows by one
-Kronecker recursion; this module builds those blocks, verifies the
-analytic norm bounds, and evaluates the resulting truncation-error
-bounds for Poincare-domain, split-Siegel, and oscillating-nonlinearity
-certificates.
+Kronecker recursion; this module builds those blocks and verifies the
+analytic norm bounds.  It also places a spectrum in the Poincare or
+Siegel domain, takes the Poincare no-resonance gap Delta and its
+resonance refusal from one enumerator of eigenvalue multisets, and
+issues the R_Delta / R_omega certificates and per-block truncation-error
+bounds for Poincare-domain, split-Siegel and oscillating-nonlinearity
+systems.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ from .errors import (
     WrongSignError,
     check_cap,
 )
-from .linalg import as_cvector, column_sparsity, kron2, kron_chain, origin_hull_status
+from .linalg import as_cvector, column_sparsity, kron2, origin_hull_status
 from .system import QuadraticSystem, Spectrum
 
 RESONANCE_RTOL = 1e-10
 DENOMINATOR_RTOL = 1e-12
-ORDER_CAP_LIMIT = 12
+# the no-resonance gap enumerates every order up to at least this one
+GAP_MIN_ORDER = 6
 _DELTA1_HARD_CAP = 200
 
 POINCARE = "poincare"
@@ -62,61 +66,20 @@ def _require_nonpositive(lams: np.ndarray) -> float:
     return tol
 
 
-def _alpha_vector(combo, n: int) -> tuple:
-    alpha = [0] * n
-    for idx in combo:
-        alpha[idx] += 1
-    return tuple(alpha)
+def _nonresonant_gaps(ev: np.ndarray, top: int):
+    """(order, gaps) for every multiset of 2..top eigenvalue indices.
 
-
-def _combination_gaps(ev: np.ndarray, top: int):
-    """(order, combo, gaps) for every multiset of 2..top eigenvalue indices.
-
-    ``gaps[i]`` is |lambda_i - sum of the combo's eigenvalues|.
+    ``gaps[i]`` is |lambda_i - sum of the multiset's eigenvalues|; raises
+    ResonanceFoundError at the first resonance.
     """
+    tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
     for total in range(2, top + 1):
         for combo in combinations_with_replacement(range(ev.size), total):
-            yield total, combo, np.abs(ev - ev[list(combo)].sum())
-
-
-def _nonresonant_gaps(ev: np.ndarray, top: int):
-    """(order, gaps) per multiset; raises ResonanceFoundError at the first resonance."""
-    tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
-    for total, combo, gaps in _combination_gaps(ev, top):
-        if np.any(gaps <= tol):
-            i = int(np.argmin(gaps))
-            raise ResonanceFoundError(
-                f"resonance at eigenvalue index {i}",
-                tuples=[(i, _alpha_vector(combo, ev.size))],
-            )
-        yield total, gaps
-
-
-@dataclass(frozen=True)
-class SpectrumClassification:
-    """Resonance census and geometric placement of a spectrum."""
-
-    eigenvalues: np.ndarray
-    resonant_tuples: list
-    order_cap: int
-    domain: str | None = None
-    delta_gap: float | None = None
-    separating_direction: complex | None = None
-    siegel_type: tuple | None = None  # (C, nu) fitted over enumerated orders
-
-
-def check_resonance(lams, order_cap: int) -> SpectrumClassification:
-    """Exhaustive resonance search over integer combinations of bounded order."""
-    if not 2 <= order_cap <= ORDER_CAP_LIMIT:
-        raise ValueError(f"order cap must lie in [2, {ORDER_CAP_LIMIT}]")
-    ev = as_cvector(lams)
-    tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
-    found = [
-        (int(i), _alpha_vector(combo, ev.size))
-        for _, combo, gaps in _combination_gaps(ev, order_cap)
-        for i in np.nonzero(gaps <= tol)[0]
-    ]
-    return SpectrumClassification(ev, found, order_cap)
+            gaps = np.abs(ev - ev[list(combo)].sum())
+            if np.any(gaps <= tol):
+                i = int(np.argmin(gaps))
+                raise ResonanceFoundError(f"resonance at eigenvalue index {i}")
+            yield total, gaps
 
 
 def classify_domain(lams) -> str:
@@ -130,48 +93,31 @@ def classify_domain(lams) -> str:
     return SIEGEL
 
 
-def delta_gap_components(lams, order_cap: int = 6) -> dict:
-    """Both ingredients of the all-orders no-resonance gap.
+def delta_gap_poincare(lams) -> float:
+    """Normalized no-resonance gap, valid for all orders.
 
-    ``analytic`` is the separating-direction lower bound covering every
-    order at and beyond the crossover ``enumerated_up_to``; ``enumerated``
-    is the exact minimum over the orders below it.  Reporting both makes
-    it visible which side is binding when they differ a lot.
+    The smaller of two parts: the separating-direction lower bound, which
+    covers every order at and beyond the crossover k0, and the exact
+    minimum over the orders up to max(k0 - 1, :data:`GAP_MIN_ORDER`), so
+    the returned value certifies the full infimum, not just the orders
+    enumerated.
     """
     ev = as_cvector(lams)
     if classify_domain(ev) != POINCARE:
         raise NotPoincareError("spectrum does not lie in the Poincare domain")
-    status = origin_hull_status(ev)
-    omega = status.separating_direction
+    omega = origin_hull_status(ev).separating_direction
     f = (ev.conj() * omega).real
     c1, c2 = float(f.min()), float(f.max())
     k0 = math.ceil(c2 / c1) + 1
     delta0 = (c1 * k0 - c2) / (k0 - 1)
-    top = max(k0 - 1, order_cap)
+    top = max(k0 - 1, GAP_MIN_ORDER)
     if top > _DELTA1_HARD_CAP:
         raise CapExceededError(f"gap enumeration needs order {top} > {_DELTA1_HARD_CAP}")
     delta1 = min(
         (float(gaps.min()) / (total - 1) for total, gaps in _nonresonant_gaps(ev, top)),
         default=np.inf,
     )
-    return {
-        "analytic": float(delta0),
-        "enumerated": float(delta1),
-        "enumerated_up_to": top,
-        "separating_direction": omega,
-    }
-
-
-def delta_gap_poincare(lams, order_cap: int = 6) -> float:
-    """Normalized no-resonance gap, valid for all orders.
-
-    Combines the exact minimum over enumerated low orders with the
-    separating-direction lower bound that covers every higher order, so
-    the returned value certifies the full infimum, not just the orders
-    enumerated.
-    """
-    parts = delta_gap_components(lams, order_cap=order_cap)
-    return min(parts["analytic"], parts["enumerated"])
+    return min(float(delta0), float(delta1))
 
 
 def level_sums(lams, j: int) -> np.ndarray:
@@ -321,16 +267,11 @@ class CarlemanDiagonalization:
     k: int
     n: int
     eigenvalues: np.ndarray
-    q: np.ndarray
     f2_tilde: np.ndarray
     v_blocks: dict
     vinv_blocks: dict
     residual: float
     inverse_residual: float
-
-    def ambient_v_block(self, i: int, j: int) -> np.ndarray:
-        """Transform block (i, j), i < j, in the original (non-eigen) coordinates."""
-        return kron_chain([self.q] * i) @ self.v_blocks[(i, j)]
 
 
 def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, float]:
@@ -372,7 +313,7 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     check_cap(sum(sys.n**j for j in range(1, k + 1)))
-    lams, q, f2t = spec.dec.eigenvalues, spec.dec.right_vectors, spec.f2_tilde
+    lams, f2t = spec.dec.eigenvalues, spec.f2_tilde
     v_blocks = build_v_blocks(lams, f2t, k)
     vinv_blocks = build_vinv_blocks(lams, f2t, k)
     residual, inverse_residual = _blockwise_residuals(lams, f2t, v_blocks, vinv_blocks, k)
@@ -380,7 +321,6 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
         k=k,
         n=sys.n,
         eigenvalues=lams,
-        q=q,
         f2_tilde=f2t,
         v_blocks=v_blocks,
         vinv_blocks=vinv_blocks,
@@ -443,16 +383,6 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
                     }
                 )
     return {"sparsity": s, "rows": rows, "all_ok": all_ok}
-
-
-def r_big_delta(sys: QuadraticSystem, x_max_tilde: float, delta: float) -> float:
-    """Gap-weighted R-number 8 s ||F2~|| ||x_max~|| / Delta for Poincare spectra."""
-    spec = sys.spectrum.diagonalizable()
-    if classify_domain(spec.dec.eigenvalues) != POINCARE:
-        raise NotPoincareError("spectrum does not lie in the Poincare domain")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return float(8.0 * spec.sparsity * spec.f2_tilde_norm * x_max_tilde / delta)
 
 
 VARIANTS = ("poincare", "siegel_split", "oscillating_f2")
@@ -532,108 +462,8 @@ def shift_oscillating_f2(sys: QuadraticSystem, omega: float) -> ShiftedSystem:
         f0=sys.f0,
         f1=sys.f1 + 1j * omega * np.eye(sys.n),
         f2=sys.f2,
-        symmetrized=sys.symmetrized,
     )
     return ShiftedSystem(shifted, float(omega))
-
-
-def siegel_type_estimate(lams, order_cap: int = 8) -> dict:
-    """Fit a small-denominator law to the enumerated resonance gaps.
-
-    Fits min-gap(order) ~ C (order-1)^(-nu) by least squares on the
-    enumerated orders, then lowers C so the law holds exactly on them.
-    The fit is diagnostic only: it says nothing about orders beyond the
-    cap, so no convergence certificate is ever issued from it.
-    """
-    if not 2 <= order_cap <= ORDER_CAP_LIMIT:
-        raise ValueError(f"order cap must lie in [2, {ORDER_CAP_LIMIT}]")
-    ev = as_cvector(lams)
-    best = dict.fromkeys(range(2, order_cap + 1), np.inf)
-    for total, gaps in _nonresonant_gaps(ev, order_cap):
-        best[total] = min(best[total], float(gaps.min()))
-    orders, min_gaps = list(best), list(best.values())
-    x = np.log(np.array(orders, dtype=float) - 1.0)
-    y = np.log(np.array(min_gaps))
-    # single order (cap = 2) pins nu at zero
-    if len(orders) == 1:
-        nu = 0.0
-    else:
-        nu = float(-np.polyfit(x, y, 1)[0])
-    c = float(min(g * (m - 1.0) ** nu for g, m in zip(min_gaps, orders)))
-    return {
-        "c": c,
-        "nu": nu,
-        "orders": orders,
-        "min_gaps": min_gaps,
-        "xi_table": {q: xi_nu(nu, q) for q in range(0, 21)},
-        "rigorous_up_to_order": order_cap,
-    }
-
-
-def xi_nu(nu: float, q: int) -> float:
-    """The factorial convolution sum entering the Siegel-domain error bound."""
-    if not 0 <= q <= 20:
-        raise CapExceededError("factorial convolution tabulated for q <= 20")
-    return float(
-        sum(
-            math.factorial(q - l) ** nu * math.factorial(l) ** (nu - 1.0)
-            for l in range(q + 1)
-        )
-    )
-
-
-def classify_spectrum(lams, order_cap: int = 6) -> SpectrumClassification:
-    """Full census: resonances, domain, and whichever gap notion applies."""
-    partial = check_resonance(lams, order_cap)
-    domain = classify_domain(partial.eigenvalues)
-    delta = None
-    direction = None
-    siegel_type = None
-    if domain == POINCARE and not partial.resonant_tuples:
-        delta = delta_gap_poincare(partial.eigenvalues, order_cap=order_cap)
-        direction = origin_hull_status(partial.eigenvalues).separating_direction
-    elif domain == SIEGEL and not partial.resonant_tuples:
-        fit = siegel_type_estimate(partial.eigenvalues, order_cap=order_cap)
-        siegel_type = (fit["c"], fit["nu"])
-    return SpectrumClassification(
-        eigenvalues=partial.eigenvalues,
-        resonant_tuples=partial.resonant_tuples,
-        order_cap=order_cap,
-        domain=domain,
-        delta_gap=delta,
-        separating_direction=direction,
-        siegel_type=siegel_type,
-    )
-
-
-def shift_to_fixed_point(sys: QuadraticSystem, x_star, tol: float = 1e-9):
-    """Recenter a driven system at a supplied equilibrium.
-
-    Verifies that x* solves F0 + F1 x* + F2 x*^(2) = 0 to the given
-    relative tolerance and returns the driftless system governing the
-    deviation y = x - x*, whose linear part picks up the quadratic
-    coupling to x*.  Root-finding for x* itself is out of scope; the
-    caller supplies it.
-    """
-    star = as_cvector(x_star)
-    residual = sys.vector_field(star)
-    scale = max(
-        np.linalg.norm(sys.f0),
-        np.linalg.norm(sys.f1 @ star),
-        np.linalg.norm(star),
-        1e-300,
-    )
-    res_norm = float(np.linalg.norm(residual))
-    if res_norm > tol * scale:
-        raise ValueError(
-            f"supplied point is not an equilibrium: residual {res_norm:.3e}"
-        )
-    n = sys.n
-    eye = np.eye(n, dtype=complex)
-    f1_hat = sys.f1 + sys.f2 @ (np.kron(eye, star.reshape(n, 1)) + np.kron(star.reshape(n, 1), eye))
-    return QuadraticSystem(
-        f0=np.zeros(n), f1=f1_hat, f2=sys.f2, symmetrized=sys.symmetrized
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -89,31 +89,6 @@ def r_p(sys: QuadraticSystem, x0, p) -> float:
     return float((spectral_norm(f2_p) * ny + np.linalg.norm(f0_p) / ny) / (-mu_p))
 
 
-def rp_condition_number_bound(
-    sys: QuadraticSystem, x0, kappa_p: float, mu_p: float
-) -> float:
-    """Weaker R_P upper bound that needs only kappa(P) and mu_P, not P itself."""
-    v = _check_x0(x0)
-    if mu_p >= 0:
-        return np.inf
-    nx = np.linalg.norm(v)
-    return float(
-        (
-            kappa_p * np.linalg.norm(sys.f2, 2) * nx
-            + np.sqrt(kappa_p) * np.linalg.norm(sys.f0) / nx
-        )
-        / (-mu_p)
-    )
-
-
-def xi_bound(sys: QuadraticSystem, p) -> float:
-    """Decay budget 4 mu_P + 5 ||F0||_P + 3 ||F2||_P; negative means usable."""
-    root, inv_root = _pd_sqrt_factors(p)
-    mu_p = _factored_log_norm(sys.f1, root, inv_root)
-    norms = _factored_norms(np.zeros(sys.n), sys.f0, sys.f2, root, inv_root)
-    return float(4.0 * mu_p + 5.0 * norms["f0"] + 3.0 * norms["f2"])
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of the Lyapunov-witness search for one system and initial state.

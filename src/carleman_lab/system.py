@@ -35,13 +35,10 @@ from .linalg import (
     as_cvector,
     column_sparsity,
     eig,
-    kron2,
     kron_pair,
     kron_square,
     spectral_norm,
 )
-
-_RNG_PROBES = 8
 
 # right-hand-side evaluations one solve may spend, where each Taylor
 # coefficient order counts as one: about 80x the most any test needs
@@ -63,7 +60,6 @@ class QuadraticSystem:
     f0: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    symmetrized: bool = False
 
     def __post_init__(self):
         for name, coerce in (("f0", as_cvector), ("f1", as_cmatrix), ("f2", as_cmatrix)):
@@ -206,37 +202,6 @@ def rhs(sys: QuadraticSystem, x) -> np.ndarray:
     return sys.vector_field(v)
 
 
-def validate(sys: QuadraticSystem) -> list[str]:
-    """Diagnostics list; empty means well-formed.
-
-    Dimension errors are caught at construction, so this mostly reports
-    the measured asymmetry of F2 under swapping its two input slots.
-    """
-    issues: list[str] = []
-    n = sys.n
-    if not np.all(np.isfinite(sys.f0)) or not np.all(np.isfinite(sys.f1)):
-        issues.append("non-finite entries")
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(_RNG_PROBES):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gap = np.linalg.norm(sys.f2 @ kron2(u, v) - sys.f2 @ kron2(v, u))
-        scale = max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
-        worst = max(worst, gap / scale)
-    if worst > 1e-12:
-        issues.append(f"f2 asymmetry {worst:.3e} on probe vectors")
-    return issues
-
-
-def symmetrize(sys: QuadraticSystem) -> QuadraticSystem:
-    """Average F2 over its two input slots; the induced quadratic map is unchanged."""
-    n = sys.n
-    t = sys.f2.reshape(n, n, n)
-    sym = (t + t.transpose(0, 2, 1)) / 2.0
-    return replace(sys, f2=sym.reshape(n, n * n), symmetrized=True)
-
-
 def rescale(sys: QuadraticSystem, gamma: float) -> QuadraticSystem:
     """Unit change (F0, F1, F2) -> (g F0, F1, F2/g); trajectories scale as g x(t)."""
     if not (gamma > 0 and np.isfinite(gamma)):
@@ -264,9 +229,6 @@ def integrate_reference(
     v0 = as_cvector(x0)
     if v0.size != sys.n:
         raise DimensionMismatchError(f"x0 dim {v0.size}, system dim {sys.n}")
-    for tol in (rel_tol, abs_tol):
-        if not 1e-14 <= tol <= 1e-3:
-            raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
     return _taylor_solve(sys.f0, sys.f1, sys.f2, v0, times, rel_tol, abs_tol)
 
 
@@ -316,12 +278,16 @@ def _taylor_solve(
         h = r exp(-0.7 / (p - 1)) min_(m in {p-1, p}) (eps / ||Y_m||_inf)^(1/m)
 
     (Jorba and Zou, Experimental Mathematics 14, 2005), and every sample
-    in (t, t + h] is the step's polynomial, evaluated by Horner.  The
-    failure policy is :func:`_dormand_prince`'s: each coefficient order
+    in (t, t + h] is the step's polynomial, evaluated by Horner.  Both
+    tolerances must lie in [1e-14, 1e-3] (ValueError otherwise; NaN too).
+    The failure policy is :func:`_dormand_prince`'s: each coefficient order
     counts as one right-hand-side evaluation against :data:`RHS_BUDGET`,
     a step below 10 ulp of t raises :class:`StepSizeUnderflowError` and a
     non-finite coefficient raises :class:`NonFiniteStateError`.
     """
+    for tol in (rel_tol, abs_tol):
+        if not 1e-14 <= tol <= 1e-3:
+            raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
     t = _sample_times(times)
     g = _homogenized(f0, f1, f2)
     states = np.empty((t.size, x0.size), dtype=complex)
@@ -351,7 +317,7 @@ def _taylor_solve(
             eps = abs_tol + rel_tol * np.abs(x).max()
             tail = np.abs(y[-2:]).max(axis=1)
             h = r * _STEP_SAFETY * np.min((eps / tail) ** (1.0 / ladder[-2:]))
-            if h < 10.0 * np.spacing(now):
+            if not h >= 10.0 * np.spacing(now):  # a NaN step is no step either
                 raise StepSizeUnderflowError(
                     "Required step size is less than spacing between numbers."
                 )

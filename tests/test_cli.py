@@ -88,6 +88,23 @@ class TestCertify:
     def test_input_error(self):
         assert run(["certify", "--fixture", "nope"]) == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "1e-2"])
+    def test_tolerance_outside_range_is_an_input_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "cert.json"
+        argv = ["certify", "--fixture", "conservative_toy", "--tol", tol, "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"input error: tolerance {float(tol)} outside [1e-14, 1e-3]\n"
+        )
+        assert not out.exists()
+
+    def test_zero_horizon_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        argv = ["certify", "--fixture", "conservative_toy", "--t", "0", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "input error: horizon must be positive\n"
+        assert not out.exists()
+
     def test_finite_time_escape_is_uncertified(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(
@@ -195,6 +212,14 @@ class TestSimulate:
         assert code == 0
         assert out.with_suffix(".ref.csv").exists()
         assert out.with_suffix(".lift.csv").exists()
+
+    def test_zero_horizon_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--fixture", "scalar", "--t", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: times must be strictly increasing and start at 0\n"
+        )
+        assert not out.exists()
 
 
 class TestScan:

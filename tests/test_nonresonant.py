@@ -20,17 +20,15 @@ from carleman_lab.nonresonant import (
     SIEGEL,
     block_norm,
     build_nl,
-    classify_spectrum,
-    shift_to_fixed_point,
     build_v_blocks,
     build_vinv_blocks,
     _blockwise_residuals,
+    _nonresonant_gaps,
     _shift_apply,
     _shift_block,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
-    check_resonance,
     classify_domain,
     column_sparsity,
     delta_gap_poincare,
@@ -39,10 +37,7 @@ from carleman_lab.nonresonant import (
     level_sums,
     nonresonant_error_bound,
     norm_bounds_check,
-    r_big_delta,
     shift_oscillating_f2,
-    siegel_type_estimate,
-    xi_nu,
 )
 from carleman_lab.jsonio import system_from_json, system_to_json
 from carleman_lab.system import (
@@ -72,16 +67,20 @@ def random_poincare_system(seed, n=2, f2_scale=0.05):
 
 class TestResonance:
     def test_integer_relation_detected(self):
-        cls = check_resonance([-1.0, -2.0], 4)
-        assert any(i == 1 and alpha == (2, 0) for i, alpha in cls.resonant_tuples)
+        # lambda_1 = 2 lambda_0 at order two; the message names the index
+        with pytest.raises(ResonanceFoundError, match=r"^resonance at eigenvalue index 1$"):
+            delta_gap_poincare([-1.0, -2.0])
 
     def test_incommensurate_pair_clean(self):
-        cls = check_resonance([-1.0, -np.pi], 8)
-        assert cls.resonant_tuples == []
+        rows = list(_nonresonant_gaps(np.array([-1.0, -np.pi], dtype=complex), 8))
+        # one row per multiset: order m has m + 1 of them for two eigenvalues
+        assert [total for total, _ in rows] == [m for m in range(2, 9) for _ in range(m + 1)]
+        assert all(np.all(gaps > 0) for _, gaps in rows)
 
     def test_marginal_pair_resonant(self):
-        cls = check_resonance([1j, -1j], 4)
-        assert cls.resonant_tuples  # i = 2i + (-i) at order three
+        # i = 2i + (-i) at order three
+        with pytest.raises(ResonanceFoundError):
+            list(_nonresonant_gaps(np.array([1j, -1j]), 4))
 
 
 class TestClassifyDomain:
@@ -104,6 +103,10 @@ class TestClassifyDomain:
     def test_surrounded_origin_stays_siegel(self):
         assert classify_domain([1.0, -1.0 + 1j, -1.0 - 1j, 1e-18j]) == SIEGEL
 
+    def test_same_sign_imaginary_pair_is_poincare(self):
+        phi = (1 + math.sqrt(5)) / 2
+        assert classify_domain([1j, phi * 1j]) == POINCARE
+
 
 class TestDeltaGap:
     def test_scalar_value(self):
@@ -111,7 +114,7 @@ class TestDeltaGap:
 
     def test_brute_force_cross_check(self):
         lams = np.array([-1.0, -np.pi])
-        gap = delta_gap_poincare(lams, order_cap=6)
+        gap = delta_gap_poincare(lams)
         # oracle: direct enumeration far beyond the analytic cutoff
         from itertools import combinations_with_replacement
 
@@ -474,12 +477,6 @@ class TestDiagonalize:
         for key, block in small.v_blocks.items():
             assert np.allclose(block, large.v_blocks[key], atol=1e-12)
 
-    def test_ambient_block_transform(self):
-        sys = random_poincare_system(10)
-        diag = diagonalize_carleman(sys, 2)
-        expected = np.kron(diag.q, np.array([[1.0]])) @ diag.v_blocks[(1, 2)]
-        assert np.allclose(diag.ambient_v_block(1, 2), expected)
-
     @staticmethod
     def _dense_oracle(diag, v, w):
         """Dense ||A~ V - V D||_2 / ||A~||_2 and ||V W - I||_2 for blocks v, w."""
@@ -722,15 +719,27 @@ class TestBlockNorm:
 
 
 class TestRBigDelta:
+    """R_Delta = 8 s ||F2~|| x_max~ / Delta, from the fields of certify_poincare's certificate."""
+
+    @staticmethod
+    def _formula(cert):
+        return 8 * cert.sparsity * cert.f2_tilde_norm * cert.x_max_tilde / cert.delta
+
     def test_zero_nonlinearity(self):
         sys = QuadraticSystem(
             f0=np.zeros(2), f1=np.diag([-1.0, -2.5]), f2=np.zeros((2, 4))
         )
-        assert r_big_delta(sys, 1.0, 1.0) == 0.0
+        cert = certify_poincare(sys, [0.5, 0.5])
+        assert cert.value == 0.0 and cert.certified
 
     def test_scalar_value(self):
         sys = QuadraticSystem(f0=np.zeros(1), f1=[[-1.0]], f2=[[0.01]])
-        assert r_big_delta(sys, 1.0, 1.0) == pytest.approx(0.08)
+        cert = certify_poincare(sys, [0.5])
+        assert cert.delta == pytest.approx(1.0) and cert.sparsity == 1
+        assert cert.f2_tilde_norm == pytest.approx(0.01)
+        assert cert.value == self._formula(cert)
+        # the trajectory decays from 0.5, so x_max~ is 1.02 * 0.5
+        assert cert.value == pytest.approx(0.08 * 0.51)
 
     def test_threshold(self):
         sys = random_poincare_system(12)
@@ -740,14 +749,18 @@ class TestRBigDelta:
         f2t = dec.inverse_vectors @ sys.f2 @ np.kron(dec.right_vectors, dec.right_vectors)
         delta = delta_gap_poincare(dec.eigenvalues)
         s = column_sparsity(f2t)
-        x_max = 0.9
-        val = r_big_delta(sys, x_max, delta)
-        assert (val < 1) == (8 * s * np.linalg.norm(f2t, 2) * x_max < delta)
+        cert = certify_poincare(sys, [0.3, -0.2])
+        assert cert.delta == delta and cert.sparsity == s
+        assert cert.f2_tilde_norm == pytest.approx(np.linalg.norm(f2t, 2), rel=1e-12)
+        assert cert.value == self._formula(cert)
+        x_max = cert.x_max_tilde
+        assert cert.certified == (8 * s * np.linalg.norm(f2t, 2) * x_max < delta)
 
     def test_siegel_rejected(self):
         sys = QuadraticSystem(f0=np.zeros(2), f1=np.diag([1j, -1j]), f2=np.zeros((2, 4)))
-        with pytest.raises(NotPoincareError):
-            r_big_delta(sys, 1.0, 1.0)
+        cert = certify_poincare(sys, [1.0, 1.0])
+        assert not cert.certified and cert.value == np.inf
+        assert cert.reason == "spectrum does not lie in the Poincare domain"
 
 
 class TestErrorBoundFormula:
@@ -820,27 +833,6 @@ class TestShiftOscillating:
             shift_oscillating_f2(self._system(), np.inf)
 
 
-class TestSiegelType:
-    def test_xi_at_zero(self):
-        for nu in (-1.0, 0.0, 0.7, 2.0):
-            assert xi_nu(nu, 0) == 1.0
-
-    def test_poincare_spectrum_fits_nonpositive_exponent(self):
-        fit = siegel_type_estimate([-1.0, -np.pi], order_cap=8)
-        assert fit["nu"] <= 0
-        # the fitted law holds on every enumerated order
-        for m, g in zip(fit["orders"], fit["min_gaps"]):
-            assert fit["c"] * (m - 1.0) ** (-fit["nu"]) <= g * (1 + 1e-12)
-
-    def test_golden_ratio_small_denominators(self):
-        phi = (1 + math.sqrt(5)) / 2
-        # opposite-sign imaginary pair: classic Siegel small denominators
-        fit = siegel_type_estimate([1j, -phi * 1j], order_cap=10)
-        assert fit["nu"] > 0
-        # same-sign pair is Poincare and its gaps grow instead
-        assert classify_domain([1j, phi * 1j]) == POINCARE
-
-
 class TestCertifiers:
     def test_poincare_route(self):
         sys = QuadraticSystem(f0=np.zeros(1), f1=[[-1.0]], f2=[[0.05]])
@@ -873,41 +865,3 @@ class TestCertifiers:
         sys = QuadraticSystem(f0=np.zeros(2), f1=np.diag([0.4j, -0.4j]), f2=f2)
         cert = certify_oscillating(sys, [0.4, 0.4], omega=2.0)
         assert cert.certified and cert.omega == 2.0
-
-
-class TestClassifySpectrum:
-    def test_poincare_gets_gap_and_direction(self):
-        cls = classify_spectrum([-1.0, -np.pi])
-        assert cls.domain == POINCARE and cls.delta_gap > 0
-        assert abs(abs(cls.separating_direction) - 1.0) <= 1e-12
-        assert cls.siegel_type is None
-
-    def test_siegel_gets_type_fit(self):
-        phi = (1 + math.sqrt(5)) / 2
-        cls = classify_spectrum([1j, -phi * 1j], order_cap=8)
-        assert cls.domain == SIEGEL and cls.delta_gap is None
-        c, nu = cls.siegel_type
-        assert c > 0 and nu > 0
-
-    def test_resonant_has_no_gap(self):
-        cls = classify_spectrum([-1.0, -2.0])
-        assert cls.resonant_tuples and cls.delta_gap is None
-
-
-class TestFixedPointShift:
-    def test_recentring_removes_drive(self):
-        # scalar with equilibrium at x* = 2 of xdot = 1.2 - x + 0.2 x^2
-        sys = QuadraticSystem(f0=[1.2], f1=[[-1.0]], f2=[[0.2]])
-        shifted = shift_to_fixed_point(sys, [2.0])
-        assert np.count_nonzero(shifted.f0) == 0
-        assert shifted.f1[0, 0] == pytest.approx(-1.0 + 0.2 * 2 * 2)
-        # the deviation dynamics match the original after recentring
-        times = np.linspace(0, 4, 9)
-        orig = integrate_reference(sys, [1.0], times, 1e-12, 1e-12)
-        dev = integrate_reference(shifted, [-1.0], times, 1e-12, 1e-12)
-        assert np.max(np.abs(dev.states[:, 0] + 2.0 - orig.states[:, 0])) <= 1e-9
-
-    def test_non_equilibrium_rejected(self):
-        sys = QuadraticSystem(f0=[1.2], f1=[[-1.0]], f2=[[0.2]])
-        with pytest.raises(ValueError):
-            shift_to_fixed_point(sys, [1.0])

@@ -21,10 +21,8 @@ from carleman_lab.stability import (
     r_alpha,
     r_mu,
     r_p,
-    rp_condition_number_bound,
     scan_point,
     stable_error_bound,
-    xi_bound,
 )
 from carleman_lab.system import QuadraticSystem, Spectrum, rescale
 
@@ -144,14 +142,6 @@ class TestRP:
         assert mu_p < 0
         norms = linalg.p_norms(x0, sys.f2, sys.f0, p)
         assert value == float((norms["f2"] * norms["x"] + norms["f0"] / norms["x"]) / (-mu_p))
-
-    def test_condition_number_bound_dominates(self):
-        sys = random_stable_system(6)
-        x0 = np.array([0.5, 0.1])
-        p = linalg.solve_lyapunov(sys.f1)
-        kappa = np.linalg.cond(p)
-        mu_p = linalg.generalized_log_norm(sys.f1, p)
-        assert rp_condition_number_bound(sys, x0, kappa, mu_p) >= r_p(sys, x0, p) - 1e-12
 
 
 def r_p_weighted_system(sys, x0, p):
@@ -456,18 +446,29 @@ class TestPlanarRP:
 
 
 class TestXiBound:
+    """The decay budget xi = 4 mu_P + 5 ||F0||_P + 3 ||F2||_P of the gamma-rescaled system."""
+
     def test_pure_linear(self):
         sys = QuadraticSystem(f0=np.zeros(2), f1=-np.eye(2), f2=np.zeros((2, 4)))
-        p = np.eye(2)
-        assert xi_bound(sys, p) == pytest.approx(
-            4 * linalg.generalized_log_norm(sys.f1, p)
-        )
+        cert = optimize_rp(sys, [0.3, 0.4])
+        assert cert.certified
+        assert cert.xi == pytest.approx(4 * linalg.generalized_log_norm(sys.f1, cert.p))
+        assert cert.xi == pytest.approx(-4.0)
 
     def test_arithmetic(self):
         f2 = np.zeros((1, 1))
         f2[0, 0] = 0.2
         sys = QuadraticSystem(f0=[0.1], f1=[[-1.0]], f2=f2)
-        assert xi_bound(sys, np.eye(1)) == pytest.approx(-2.9)
+        cert = optimize_rp(sys, [0.5])
+        assert cert.certified
+        # scalar weight p: ||F0||_P = sqrt(p) |F0| and ||F2||_P = |F2| / sqrt(p)
+        root = np.sqrt(cert.p[0, 0].real)
+        g = cert.gamma
+        assert cert.xi == pytest.approx(-4.0 + 5 * g * 0.1 * root + 3 * 0.2 / (g * root))
+        resc = rescale(sys, g)
+        norms = linalg.p_norms([0.5], resc.f2, resc.f0, cert.p)
+        mu_p = linalg.generalized_log_norm(sys.f1, cert.p)
+        assert cert.xi == pytest.approx(4 * mu_p + 5 * norms["f0"] + 3 * norms["f2"])
 
     def test_certified_oscillator_negative_after_rescaling(self):
         fx = damped_oscillator(r=1.5, n=0.1)

@@ -22,8 +22,6 @@ from carleman_lab.system import (
     integrate_reference,
     rescale,
     rhs,
-    symmetrize,
-    validate,
 )
 
 
@@ -40,43 +38,11 @@ def random_system(seed, n=2, f2_scale=0.1, stable_shift=2.0):
 
 
 class TestValidate:
-    def test_well_formed(self):
-        sys = random_system(0)
-        assert validate(symmetrize(sys)) == []
+    """A system's dimensions are validated when it is constructed."""
 
     def test_dimension_violation_raises_at_construction(self):
         with pytest.raises(DimensionMismatchError):
             QuadraticSystem(f0=[0.0], f1=[[1.0]], f2=[[1.0, 2.0]])
-
-    def test_asymmetry_reported_with_magnitude(self):
-        f2 = np.zeros((2, 4))
-        f2[0, 1] = 0.3  # slot pair (0,1) only; swap image differs by 0.3-ish
-        sys = QuadraticSystem(f0=np.zeros(2), f1=np.eye(2), f2=f2)
-        issues = validate(sys)
-        assert len(issues) == 1 and "asymmetry" in issues[0]
-
-
-class TestSymmetrize:
-    def test_already_symmetric_unchanged(self):
-        f2 = np.array([[0.0, 0.5, 0.5, 1.0], [1.0, 0.2, 0.2, 0.0]])
-        sys = QuadraticSystem(f0=np.zeros(2), f1=np.eye(2), f2=f2)
-        assert np.array_equal(symmetrize(sys).f2, f2)
-
-    def test_scalar_unchanged(self):
-        sys = scalar_system(-1.0, 0.3)
-        assert np.array_equal(symmetrize(sys).f2, sys.f2)
-
-    def test_quadratic_map_preserved(self):
-        rng = np.random.default_rng(5)
-        sys = QuadraticSystem(
-            f0=np.zeros(2), f1=np.eye(2), f2=rng.standard_normal((2, 4))
-        )
-        sym = symmetrize(sys)
-        for _ in range(100):
-            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            assert np.allclose(
-                sys.f2 @ np.kron(x, x), sym.f2 @ np.kron(x, x), atol=1e-14
-            )
 
 
 class TestRescale:
@@ -196,6 +162,11 @@ class TestIntegrateReference:
     def test_times_must_start_at_zero(self):
         with pytest.raises(ValueError):
             integrate_reference(random_system(5), np.zeros(2), [1.0, 2.0])
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, 0.0, 1e-15, 1e-2])
+    def test_tolerance_outside_range_refused(self, tol):
+        with pytest.raises(ValueError, match=r"outside \[1e-14, 1e-3\]"):
+            integrate_reference(random_system(5), np.zeros(2), [0.0, 1.0], tol, 1e-12)
 
 
 def kron_field(sys):
