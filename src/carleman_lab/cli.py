@@ -40,7 +40,7 @@ from .forests import (
     fusion_sums,
 )
 from .jsonio import system_from_json
-from .system import QuadraticSystem
+from .system import QuadraticSystem, check_horizon, check_tolerance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -204,6 +204,10 @@ def _cert_dict(cert, criterion: str, fields: tuple) -> dict:
 def cmd_certify(args) -> int:
     """Run the certifier stages in order; stop at the first success unless --all."""
     sysd, x0, _fix = _load_system(args)
+    # the stages that solve the trajectory check these too; checking them
+    # here refuses bad flags whichever stage the chain stops at
+    check_horizon(args.t)
+    check_tolerance(args.tol)
     kw = {"horizon": args.t, "tol": args.tol}
     stages = [
         ("stable", lambda: stability.optimize_rp(sysd, x0, budget=args.budget),
@@ -420,7 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the certificate chain")
     _add_system_args(p)
     p.add_argument("--t", type=float, default=10.0, help="study horizon")
-    p.add_argument("--budget", type=int, default=2000, help="optimizer evaluations")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=2000,
+        help="R_P witness search effort: pattern-search polls at n = 2, Nelder-Mead "
+        "evaluations at n >= 3; n = 1 has nothing to search and ignores it",
+    )
     p.add_argument(
         "--all",
         dest="all_certificates",

@@ -34,7 +34,7 @@ from .errors import (
     ZeroNonlinearityError,
 )
 from .linalg import as_cmatrix, as_cvector, kron2, kron_pair
-from .system import QuadraticSystem, _taylor_solve
+from .system import QuadraticSystem, _taylor_solve, check_horizon
 
 DETECTION_TOL_DEFAULT = 1e-9
 XMAX_SAFETY = 1.02
@@ -153,8 +153,7 @@ def estimate_x_max_tilde(
     rotation at w that the solver would otherwise have to resolve; the
     phase enters the Taylor recurrence through its exact coefficients.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    check_horizon(horizon)
     if frequency and np.any(sys.f0):
         raise ValueError("the unshifted frame needs a driftless system")
     qm = as_cmatrix(q)

@@ -40,7 +40,7 @@ from .errors import (
     WrongSignError,
     check_cap,
 )
-from .linalg import as_cvector, column_sparsity, kron2, origin_hull_status
+from .linalg import HullStatus, as_cvector, column_sparsity, kron2, origin_hull_status
 from .system import QuadraticSystem, Spectrum
 
 RESONANCE_RTOL = 1e-10
@@ -82,10 +82,11 @@ def _nonresonant_gaps(ev: np.ndarray, top: int):
             yield total, gaps
 
 
-def classify_domain(lams) -> str:
-    """Poincare / Siegel / Boundary placement of the origin w.r.t. the hull."""
-    ev = as_cvector(lams)
-    status = origin_hull_status(ev)
+def classify_domain(status: HullStatus) -> str:
+    """Poincare / Siegel / Boundary placement of the origin w.r.t. the hull.
+
+    ``status`` is :func:`origin_hull_status` of the eigenvalues.
+    """
     if not status.inside:
         return POINCARE
     if status.boundary_distance < 1e-12:
@@ -103,9 +104,10 @@ def delta_gap_poincare(lams) -> float:
     enumerated.
     """
     ev = as_cvector(lams)
-    if classify_domain(ev) != POINCARE:
+    status = origin_hull_status(ev)
+    if classify_domain(status) != POINCARE:
         raise NotPoincareError("spectrum does not lie in the Poincare domain")
-    omega = origin_hull_status(ev).separating_direction
+    omega = status.separating_direction
     f = (ev.conj() * omega).real
     c1, c2 = float(f.min()), float(f.max())
     k0 = math.ceil(c2 / c1) + 1

@@ -38,6 +38,11 @@ from .linalg import (
 from .system import QuadraticSystem, rescale
 
 BLOCH_GRID_RESOLUTION = 21
+# the n = 2 pattern search: a (2 * half width + 1)^3 stencil of Bloch
+# vectors, shrunk by PATTERN_SHRINK when no stencil point improves
+PATTERN_HALF_WIDTH = 4
+PATTERN_SHRINK = 4.0
+PATTERN_STEP_FLOOR = 1e-12
 GAMMA_GRID_POINTS = 200
 
 
@@ -224,6 +229,36 @@ def _planar_rp(sys: QuadraticSystem, x0: np.ndarray, a, b, d):
     return value
 
 
+def _bloch_pattern_search(sys: QuadraticSystem, x0: np.ndarray, r, value: float, polls: int):
+    """Pattern search for the smallest R_P over Bloch vectors, from ``r`` with R_P = ``value``.
+
+    Each poll scores the in-ball points of a (2 w + 1)^3 stencil around
+    the current point, w = :data:`PATTERN_HALF_WIDTH`, spaced by the
+    current step, with one array call of :func:`_planar_rp`.  The search
+    moves to the best of them when it is below the current value and
+    otherwise divides the step by :data:`PATTERN_SHRINK`, so the next
+    stencil spans the old one's neighbours.  The first step is a quarter
+    of the Bloch grid spacing, w steps reach one grid point over, and the
+    search ends below :data:`PATTERN_STEP_FLOOR` or after ``polls`` polls.
+    Returns (value, r) of the best point; ``value`` only ever decreases.
+    """
+    axis = np.arange(-PATTERN_HALF_WIDTH, PATTERN_HALF_WIDTH + 1, dtype=float)
+    stencil = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    step = 2.0 / (BLOCH_GRID_RESOLUTION + 1) / PATTERN_HALF_WIDTH
+    for _ in range(polls):
+        if step < PATTERN_STEP_FLOOR:
+            break
+        points = r + step * stencil
+        points = points[np.sum(points * points, axis=1) < 1.0 - 1e-12]
+        vals = _planar_rp(sys, x0, *_bloch_weight(points.T))
+        idx = int(np.argmin(vals))
+        if vals[idx] < value:
+            value, r = float(vals[idx]), points[idx]
+        else:
+            step /= PATTERN_SHRINK
+    return value, r
+
+
 def _gamma_search(mu_p: float, norms: dict):
     """Find a rescaling making the decay budget negative and ||g x0||_P < 1.
 
@@ -344,13 +379,18 @@ def _p_from_params(theta: np.ndarray, n: int) -> np.ndarray:
 def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertificate:
     """Search the Lyapunov cone for the witness with the smallest R_P.
 
-    For two-dimensional systems the unit-trace witnesses form a ball
-    (three real parameters) which is scanned on a coarse grid and then
-    polished with Nelder-Mead, both scored by the closed-form
-    :func:`_planar_rp`; in higher dimension the search runs over
-    Cholesky factors from Lyapunov-solution and eigenbasis seeds.  The
-    identity and eigenbasis weights are always evaluated, so the result
-    never loses to R_mu or R_alpha.
+    R_P does not change when P is scaled, so the search runs over
+    unit-trace witnesses.  For n = 1 that is P = [[1]] alone (R_P = R_mu
+    for every P > 0): one :func:`r_p` call and no search.  For n = 2 the
+    unit-trace witnesses form a ball (three real parameters), which is
+    scanned on a coarse grid and then refined by
+    :func:`_bloch_pattern_search` from the better of the grid's best point
+    and the best seed, all scored by the closed-form :func:`_planar_rp`;
+    ``budget`` caps its polls.  For n >= 3 Nelder-Mead runs over Cholesky
+    factors from the identity, eigenbasis and Lyapunov-solution seeds,
+    ``budget`` evaluations shared among them.  The identity and eigenbasis
+    weights are always evaluated, so the result never loses to R_mu or
+    R_alpha.
     """
     v = _check_x0(x0)
     spec = sys.spectrum
@@ -365,6 +405,9 @@ def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertif
     if alpha >= 0:
         return uncertified("spectral abscissa >= 0: not a stable system")
     n = sys.n
+    if n == 1:
+        p = np.eye(1, dtype=complex)
+        return _certificate_from_p(sys, v, p, r_p(sys, v, p), alpha, mu)
 
     seeds: list[np.ndarray] = [np.eye(n, dtype=complex)]
     if spec.dec.diagonalizable:
@@ -392,42 +435,17 @@ def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertif
         best_r = None
         if vals[idx] < best_val:
             best_val, best_r = float(vals[idx]), grid[idx]
-
-        def objective(r3):
-            rx, ry, rz = r3.tolist()
-            rr = rx * rx + ry * ry + rz * rz
-            if rr >= 1.0 - 1e-12:
-                return 1e12 * (1.0 + rr)
-            try:
-                val = _planar_rp(sys, v, *_bloch_weight((rx, ry, rz)))
-            except NotPositiveDefiniteError:
-                return 1e12
-            return val if np.isfinite(val) else 1e12
-
-        starts = []
-        if best_r is not None:
-            starts.append(best_r)
+            start = best_r
         elif best_p is not None:
             pn = best_p / np.trace(best_p).real
-            starts.append(
-                np.array(
-                    [
-                        2.0 * pn[1, 0].real,
-                        2.0 * pn[1, 0].imag,
-                        (pn[0, 0] - pn[1, 1]).real,
-                    ]
-                )
+            start = np.array(
+                [2.0 * pn[1, 0].real, 2.0 * pn[1, 0].imag, (pn[0, 0] - pn[1, 1]).real]
             )
-        starts.append(np.zeros(3))
-        for s0 in starts:
-            res = minimize(
-                objective,
-                s0,
-                method="Nelder-Mead",
-                options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            if res.fun < best_val:
-                best_val, best_r = float(res.fun), res.x
+        else:
+            start = np.zeros(3)
+        value, r = _bloch_pattern_search(sys, v, start, best_val, budget)
+        if value < best_val:
+            best_val, best_r = value, r
         if best_r is not None:
             a, b, d = _bloch_weight(best_r.tolist())
             best_p = np.array([[a, b], [b.conjugate(), d]])

@@ -243,6 +243,18 @@ def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Traje
     return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
 
 
+def check_horizon(horizon: float) -> None:
+    """Refuse a study horizon that is not positive (NaN included)."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse a solve tolerance outside [1e-14, 1e-3] (NaN included)."""
+    if not 1e-14 <= tol <= 1e-3:
+        raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
+
+
 def _sample_times(times) -> np.ndarray:
     """``times`` as floats, refused unless they start at 0 and increase strictly."""
     t = np.asarray(times, dtype=float)
@@ -285,9 +297,8 @@ def _taylor_solve(
     a step below 10 ulp of t raises :class:`StepSizeUnderflowError` and a
     non-finite coefficient raises :class:`NonFiniteStateError`.
     """
-    for tol in (rel_tol, abs_tol):
-        if not 1e-14 <= tol <= 1e-3:
-            raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
+    check_tolerance(rel_tol)
+    check_tolerance(abs_tol)
     t = _sample_times(times)
     g = _homogenized(f0, f1, f2)
     states = np.empty((t.size, x0.size), dtype=complex)

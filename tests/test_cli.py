@@ -105,6 +105,23 @@ class TestCertify:
         assert capsys.readouterr().err == "input error: horizon must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--t", "0"], "horizon must be positive"),
+            (["--t", "nan"], "horizon must be positive"),
+            (["--tol", "-1"], "tolerance -1.0 outside [1e-14, 1e-3]"),
+            (["--tol", "nan"], "tolerance nan outside [1e-14, 1e-3]"),
+        ],
+    )
+    def test_flags_checked_before_the_stable_stage(self, tmp_path, capsys, flags, message):
+        # the scalar fixture certifies at the first stage, which solves no
+        # trajectory, so the flags are refused before any stage runs
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--fixture", "scalar", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
     def test_finite_time_escape_is_uncertified(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(

@@ -40,6 +40,7 @@ from carleman_lab.nonresonant import (
     shift_oscillating_f2,
 )
 from carleman_lab.jsonio import system_from_json, system_to_json
+from carleman_lab.linalg import origin_hull_status
 from carleman_lab.system import (
     QuadraticSystem,
     integrate_nonautonomous,
@@ -85,27 +86,27 @@ class TestResonance:
 
 class TestClassifyDomain:
     def test_left_plane_cluster(self):
-        assert classify_domain([-1.0, -2.0 + 1j, -1.0 - 1j]) == POINCARE
+        assert classify_domain(origin_hull_status([-1.0, -2.0 + 1j, -1.0 - 1j])) == POINCARE
 
     def test_straddling_imaginary_axis(self):
-        assert classify_domain([1j, -1j]) == SIEGEL
+        assert classify_domain(origin_hull_status([1j, -1j])) == SIEGEL
 
     def test_origin_on_hull(self):
-        assert classify_domain([0.0, -1.0]) == BOUNDARY
+        assert classify_domain(origin_hull_status([0.0, -1.0])) == BOUNDARY
 
     def test_near_real_spectrum_is_poincare(self):
         lams = [-1.1 + 1e-18j, -1.4 - 1e-18j, -1.7 + 1e-18j, -1.9 - 1e-18j]
-        assert classify_domain(lams) == POINCARE
+        assert classify_domain(origin_hull_status(lams)) == POINCARE
 
     def test_origin_on_triangle_edge_stays_boundary(self):
-        assert classify_domain([1j, -1j, -1.0]) == BOUNDARY
+        assert classify_domain(origin_hull_status([1j, -1j, -1.0])) == BOUNDARY
 
     def test_surrounded_origin_stays_siegel(self):
-        assert classify_domain([1.0, -1.0 + 1j, -1.0 - 1j, 1e-18j]) == SIEGEL
+        assert classify_domain(origin_hull_status([1.0, -1.0 + 1j, -1.0 - 1j, 1e-18j])) == SIEGEL
 
     def test_same_sign_imaginary_pair_is_poincare(self):
         phi = (1 + math.sqrt(5)) / 2
-        assert classify_domain([1j, phi * 1j]) == POINCARE
+        assert classify_domain(origin_hull_status([1j, phi * 1j])) == POINCARE
 
 
 class TestDeltaGap:
@@ -132,6 +133,20 @@ class TestDeltaGap:
     def test_siegel_rejected(self):
         with pytest.raises(NotPoincareError):
             delta_gap_poincare([1j, -1j])
+
+    def test_hull_located_once(self, monkeypatch):
+        lams = [-1.0 + 5j, -1.0 + 6j]
+        expected = delta_gap_poincare(lams)
+        calls = []
+        real = nonresonant.origin_hull_status
+
+        def counting(points):
+            calls.append(points)
+            return real(points)
+
+        monkeypatch.setattr(nonresonant, "origin_hull_status", counting)
+        assert delta_gap_poincare(lams) == expected
+        assert len(calls) == 1
 
     def test_resonant_rejected(self):
         with pytest.raises(ResonanceFoundError):
@@ -844,7 +859,7 @@ class TestCertifiers:
         f2[0, 0] = 0.02
         f2[1, 3] = 0.015
         sys = QuadraticSystem(f0=np.zeros(2), f1=np.diag([1j, -1j]), f2=f2)
-        assert classify_domain([1j, -1j]) == SIEGEL
+        assert classify_domain(origin_hull_status([1j, -1j])) == SIEGEL
         split = find_siegel_split(np.array([1j, -1j]), f2)
         assert split == ([0], [1])
         cert = certify_siegel_split(sys, [0.3, 0.3])
