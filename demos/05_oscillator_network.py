@@ -15,14 +15,19 @@ Run:  python3 demos/05_oscillator_network.py
 
 import numpy as np
 
-from carleman_lab.carleman import build_symmetric_lift, integrate_lift, symmetric_monomials
+from carleman_lab.carleman import (
+    build_symmetric_lift,
+    integrate_lift,
+    integrate_nonautonomous,
+    symmetric_monomials,
+)
 from carleman_lab.fixtures import (
     oscillator_network,
     subset_kinetic_energy,
     total_energy,
 )
 from carleman_lab.nonresonant import certify_oscillating, shift_oscillating_f2
-from carleman_lab.system import integrate_nonautonomous, integrate_reference
+from carleman_lab.system import integrate_reference
 
 
 def main():

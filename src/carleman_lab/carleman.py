@@ -29,20 +29,34 @@ Neudecker, "The elimination matrix", SIAM J. Alg. Disc. Meth. 1(4),
 The dimension cap (:func:`errors.check_cap`) counts full coordinates,
 n + n^2 + ... + n^k.  The full blocks of :func:`build_blocks` serve only
 the tests' oracles and the benchmark's tracer.
+
+The module also hosts :func:`integrate_nonautonomous`, the scipy RK45
+solve that cross-checks the autonomous embeddings of driven and
+oscillating systems; no command runs it.  It sits here because this
+module loads scipy anyway (``scipy.sparse``) and :mod:`cli` imports it
+only for ``simulate``, so that no other command loads scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
-from .errors import DimensionMismatchError, MatrixOverflowError, check_cap
-from .linalg import tensor_power
-from .system import QuadraticSystem, Trajectory, integrate_reference
+from .errors import (
+    DimensionMismatchError,
+    MatrixOverflowError,
+    NonFiniteStateError,
+    StepSizeUnderflowError,
+    check_cap,
+)
+from .linalg import as_cvector, tensor_power
+from .system import QuadraticSystem, Trajectory, _charge, _sample_times, integrate_reference
 
 #: theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53:
 #: the degree-m Taylor series of e^X has backward error below 2^-53
@@ -504,3 +518,61 @@ def convergence_sweep(
         slope = np.polyfit(np.array(ks, dtype=float), np.log(vals), 1)[0]
         ratio = float(np.exp(slope))
     return {"errors": errs, "fitted_ratio": ratio}
+
+
+def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
+    """Dormand-Prince 5(4) solve of an explicit time-dependent rhs f(t, x).
+
+    One solve over the whole span, read at the times from its dense
+    output.  Used to cross-check the autonomous embeddings of driven and
+    oscillating systems against a direct non-autonomous solve by a
+    different method and code base than the Taylor reference.
+    """
+    return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
+
+
+def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
+    """RK45 (Dormand-Prince 5(4)) solve of xdot = f(t, x), read at the times.
+
+    One solve covers [0, times[-1]] and the states are read from its
+    interpolant.  The times must start at 0 and increase strictly.  The
+    solve may spend :data:`system.RHS_BUDGET` evaluations of f, beyond
+    which it raises :class:`CapExceededError`.  A collapsed step raises
+    :class:`StepSizeUnderflowError`, any other solver failure or a
+    non-finite sampled state raises :class:`NonFiniteStateError`.
+    """
+    t = _sample_times(times)
+    if t.size == 1:
+        return Trajectory(t, v0[None, :].copy(), rel_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
+        sol = solve_ivp(
+            _budgeted(f),
+            (0.0, float(t[-1])),
+            v0.astype(complex),
+            method="RK45",
+            t_eval=t,
+            rtol=max(rel_tol, 3e-14),
+            atol=abs_tol,
+        )
+    if not sol.success:
+        msg = sol.message or "integration failed"
+        if "step size" in msg.lower() or sol.status == -1:
+            raise StepSizeUnderflowError(msg)
+        raise NonFiniteStateError(msg)
+    if not np.all(np.isfinite(sol.y)):
+        raise NonFiniteStateError("integration produced non-finite state")
+    return Trajectory(t, sol.y.T, rel_tol)
+
+
+def _budgeted(f):
+    """f, raising :class:`CapExceededError` once called more than :data:`system.RHS_BUDGET` times."""
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        _charge(calls)
+        return f(t, y)
+
+    return counted

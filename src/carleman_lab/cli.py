@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import carleman, conservative, fixtures, nonresonant, stability
+from . import conservative, fixtures, nonresonant, stability
 from .errors import (
     CarlemanLabError,
     CapExceededError,
@@ -253,6 +253,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import carleman  # scipy.sparse; no other command loads scipy
+
     sysd, x0, _fix = _load_system(args)
     times = np.linspace(0.0, args.t, args.steps + 1)
     profile = carleman.error_profile(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EmptyInputError,
@@ -150,8 +149,8 @@ def eig(m) -> EigDecomposition:
     """
     a = _require_square(m)
     try:
-        w, q = scipy.linalg.eig(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        w, q = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalBreakdownError(str(exc)) from exc
     # quantize the primary key so roundoff-level ties fall through to the
     # imaginary-part ordering deterministically
@@ -179,6 +178,8 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     a = _require_square(m)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
+    import scipy.linalg  # only the tests and the benchmark's tracer call this
+
     out = scipy.linalg.expm(a * t)
     if not np.all(np.isfinite(out)):
         raise MatrixOverflowError("matrix exponential overflowed")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     NonDiagonalizableError,
@@ -450,6 +449,7 @@ def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertif
             a, b, d = _bloch_weight(best_r.tolist())
             best_p = np.array([[a, b], [b.conjugate(), d]])
     else:
+        from scipy.optimize import minimize
 
         def objective(theta):
             p = _p_from_params(theta, n)

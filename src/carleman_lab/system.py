@@ -7,19 +7,18 @@ can carry its :class:`Spectrum`, the eigenbasis data every certifier
 reads, computed once on first use.  The module also hosts the
 high-accuracy Taylor integrator that all truncation-error measurements
 are judged against and that solves the certifiers' trajectory
-supremum, and the RK45 solve that cross-checks the embeddings.
+supremum, and the evaluation budget of every adaptive solve.  It loads
+no scipy: the RK45 cross-check lives in :mod:`carleman`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CapExceededError,
@@ -232,17 +231,6 @@ def integrate_reference(
     return _taylor_solve(sys.f0, sys.f1, sys.f2, v0, times, rel_tol, abs_tol)
 
 
-def integrate_nonautonomous(f, x0, times, rel_tol=1e-12, abs_tol=1e-12) -> Trajectory:
-    """Dormand-Prince 5(4) solve of an explicit time-dependent rhs f(t, x).
-
-    One solve over the whole span, read at the times from its dense
-    output.  Used to cross-check the autonomous embeddings of driven and
-    oscillating systems against a direct non-autonomous solve by a
-    different method and code base than the Taylor reference.
-    """
-    return _dormand_prince(f, as_cvector(x0), times, rel_tol, abs_tol)
-
-
 def check_horizon(horizon: float) -> None:
     """Refuse a study horizon that is not positive (NaN included)."""
     if not horizon > 0:
@@ -263,10 +251,12 @@ def _sample_times(times) -> np.ndarray:
     return t
 
 
-def _budget_error() -> CapExceededError:
-    return CapExceededError(
-        f"solve exceeded its budget of {RHS_BUDGET} right-hand-side evaluations"
-    )
+def _charge(spent: int) -> None:
+    """Raise :class:`CapExceededError` once a solve has spent more than :data:`RHS_BUDGET`."""
+    if spent > RHS_BUDGET:
+        raise CapExceededError(
+            f"solve exceeded its budget of {RHS_BUDGET} right-hand-side evaluations"
+        )
 
 
 def _taylor_solve(
@@ -292,7 +282,8 @@ def _taylor_solve(
     (Jorba and Zou, Experimental Mathematics 14, 2005), and every sample
     in (t, t + h] is the step's polynomial, evaluated by Horner.  Both
     tolerances must lie in [1e-14, 1e-3] (ValueError otherwise; NaN too).
-    The failure policy is :func:`_dormand_prince`'s: each coefficient order
+    The failure policy is that of the RK45 cross-check
+    (:func:`carleman.integrate_nonautonomous`): each coefficient order
     counts as one right-hand-side evaluation against :data:`RHS_BUDGET`,
     a step below 10 ulp of t raises :class:`StepSizeUnderflowError` and a
     non-finite coefficient raises :class:`NonFiniteStateError`.
@@ -316,8 +307,7 @@ def _taylor_solve(
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite coefficient
         while now < end:
             spent += TAYLOR_ORDER
-            if spent > RHS_BUDGET:
-                raise _budget_error()
+            _charge(spent)
             phase = None
             if frequency:
                 ratios = np.concatenate(([1.0], 1j * frequency * r / ladder))
@@ -380,51 +370,3 @@ def _taylor_coefficients(g, x, r, phase=None) -> np.ndarray:
         if phase is not None:
             v[m + 1, 1:] = phase[: m + 2] @ z[m + 1 :: -1, 1:]
     return z[:, 1:]
-
-
-def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
-    """RK45 (Dormand-Prince 5(4)) solve of xdot = f(t, x), read at the times.
-
-    One solve covers [0, times[-1]] and the states are read from its
-    interpolant.  The times must start at 0 and increase strictly.  The
-    solve may spend :data:`RHS_BUDGET` evaluations of f, beyond which it
-    raises :class:`CapExceededError`.  A collapsed step raises
-    :class:`StepSizeUnderflowError`, any other solver failure or a
-    non-finite sampled state raises :class:`NonFiniteStateError`.
-    """
-    t = _sample_times(times)
-    if t.size == 1:
-        return Trajectory(t, v0[None, :].copy(), rel_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # rtol clamping near eps is fine
-        sol = solve_ivp(
-            _budgeted(f),
-            (0.0, float(t[-1])),
-            v0.astype(complex),
-            method="RK45",
-            t_eval=t,
-            rtol=max(rel_tol, 3e-14),
-            atol=abs_tol,
-        )
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower() or sol.status == -1:
-            raise StepSizeUnderflowError(msg)
-        raise NonFiniteStateError(msg)
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteStateError("integration produced non-finite state")
-    return Trajectory(t, sol.y.T, rel_tol)
-
-
-def _budgeted(f):
-    """f, raising :class:`CapExceededError` once called more than :data:`RHS_BUDGET` times."""
-    calls = 0
-
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > RHS_BUDGET:
-            raise _budget_error()
-        return f(t, y)
-
-    return counted

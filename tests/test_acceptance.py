@@ -19,6 +19,7 @@ from carleman_lab.carleman import (
     error_profile,
     initial_lift,
     integrate_lift,
+    integrate_nonautonomous,
     split_blocks,
 )
 from carleman_lab.cli import main as cli_main
@@ -55,7 +56,6 @@ from carleman_lab.nonresonant import (
 from carleman_lab.stability import optimize_rp, r_mu, r_p, stable_error_bound
 from carleman_lab.system import (
     QuadraticSystem,
-    integrate_nonautonomous,
     integrate_reference,
     rescale,
 )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from carleman_lab import conservative, system
-from carleman_lab.carleman import error_profile
+from carleman_lab import carleman, conservative, system
+from carleman_lab.carleman import error_profile, integrate_nonautonomous
 from carleman_lab.cli import main as cli_main
 from carleman_lab.conservative import (
     certify_conservative,
@@ -39,7 +39,6 @@ from carleman_lab.fixtures import (
 from carleman_lab.nonresonant import shift_oscillating_f2
 from carleman_lab.system import (
     QuadraticSystem,
-    integrate_nonautonomous,
     integrate_reference,
     rescale,
     rhs,
@@ -242,7 +241,7 @@ class TestSupremumSolver:
     def test_escape_reported_after_one_solve(self, monkeypatch, tmp_path):
         sups = self.record(monkeypatch, conservative, "estimate_x_max_tilde")
         solves = self.record(monkeypatch, conservative, "_taylor_solve")
-        scipy_solves = self.record(monkeypatch, system, "solve_ivp")
+        scipy_solves = self.record(monkeypatch, carleman, "solve_ivp")
         out = tmp_path / "cert.json"
         assert cli_main([*ESCAPE, "--all", "--out", str(out)]) == 3
         diag = json.loads(out.read_text())["diagnostics"]

@@ -55,6 +55,16 @@ class TestEig:
         dec = linalg.eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not dec.diagonalizable
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
+    @pytest.mark.parametrize("f1", [np.diag([-1.0, -2.0]), np.array([[1.0, 1.0], [1.0, -1.0]])])
+    def test_extreme_scales_are_not_clamped(self, f1, scale):
+        # some LAPACK builds clamp geev's eigenvalues near its scaling
+        # thresholds (about 6.7e-139 and 1.5e138): diag(-1, -2) * 1e-150
+        # came out as -3.36e-139 and -6.72e-139
+        expected = linalg.eig(f1).eigenvalues * scale
+        got = linalg.eig(f1 * scale).eigenvalues
+        assert np.all(np.abs(got - expected) <= 4 * np.spacing(np.abs(expected)))
+
 
 class TestMatrixExp:
     def test_zero_matrix(self):

@@ -41,11 +41,8 @@ from carleman_lab.nonresonant import (
 )
 from carleman_lab.jsonio import system_from_json, system_to_json
 from carleman_lab.linalg import origin_hull_status
-from carleman_lab.system import (
-    QuadraticSystem,
-    integrate_nonautonomous,
-    integrate_reference,
-)
+from carleman_lab.carleman import integrate_nonautonomous
+from carleman_lab.system import QuadraticSystem, integrate_reference
 from forest_oracle import (
     blockwise_residuals_full,
     v_blocks_by_composition,

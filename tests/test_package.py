@@ -1,7 +1,10 @@
 """Package-level source checks.
 
-``import carleman_lab`` loads no package module and no scipy; a fresh
-interpreter is needed, since pytest has already imported both.
+``import carleman_lab`` loads no package module and no scipy, and only
+the commands that use scipy load it: ``simulate`` (``scipy.sparse``) and
+the n >= 3 witness search of ``certify`` and ``scan``
+(``scipy.optimize``).  A fresh interpreter is needed, since pytest has
+already imported both.
 
 Every public top-level function or class of the package is reached: some
 other top-level statement of the package, a demo, the benchmark or the
@@ -18,6 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "carleman_lab"
@@ -27,6 +32,13 @@ import json, sys
 import carleman_lab
 print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("carleman_lab.") or m.split(".")[0] == "scipy")))
+"""
+
+# runs {body}, then prints the scipy modules it loaded
+COLD = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 # reference implementations kept for the unit tests; no command reaches them
@@ -45,6 +57,46 @@ def test_import_loads_no_submodule_and_no_scipy():
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout) == []
+
+
+def scipy_loaded_by(body: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", COLD.format(body=body)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("module", ["system", "fixtures", "cli"])
+def test_module_import_loads_no_scipy(module):
+    assert scipy_loaded_by(f"import carleman_lab.{module}") == []
+
+
+NUMPY_ONLY_COMMANDS = [
+    ["diagonalize", "--fixture", "scalar", "--k", "4"],
+    ["combinatorics", "--max-k", "6"],
+    ["certify", "--fixture", "scalar"],
+    ["certify", "--fixture", "damped_oscillator"],
+    ["certify", "--fixture", "conservative_toy"],
+]
+
+
+def run_command(argv: list, out: Path) -> str:
+    return (
+        "from carleman_lab.cli import main\n"
+        f"assert main({[*argv, '--out', str(out)]!r}) in (0, 3)"
+    )
+
+
+@pytest.mark.parametrize("argv", NUMPY_ONLY_COMMANDS, ids=" ".join)
+def test_numpy_only_command_loads_no_scipy(argv, tmp_path):
+    assert scipy_loaded_by(run_command(argv, tmp_path / "out")) == []
+
+
+def test_simulate_loads_scipy_sparse(tmp_path):
+    argv = ["simulate", "--fixture", "damped_oscillator", "--k", "4"]
+    assert "scipy.sparse" in scipy_loaded_by(run_command(argv, tmp_path / "out"))
 
 
 def names_read(node) -> set:

@@ -3,6 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -327,7 +328,7 @@ class TestRPAgainstWeightedSystem:
         x0 = np.full(sys.n, 0.5)
         planar = self.recorded_planar_calls(monkeypatch)
         calls = planar if sys.n == 2 else self.recorded_calls(monkeypatch)
-        real_minimize = stability.minimize
+        real_minimize = scipy.optimize.minimize
         evaluations = []
 
         def minimize(fun, x, **kwargs):
@@ -341,7 +342,7 @@ class TestRPAgainstWeightedSystem:
 
             return real_minimize(counted, x, **kwargs)
 
-        monkeypatch.setattr(stability, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         optimize_rp(sys, x0, budget=200)
         if sys.n > 2:
             assert len(evaluations) > 50
@@ -609,7 +610,7 @@ class TestOptimizeRP:
         def minimize(*_args, **_kwargs):
             raise AssertionError("the n = 1 witness is not searched")
 
-        monkeypatch.setattr(stability, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         cert = optimize_rp(fx.system, fx.x0, budget=0)
         assert len(calls) == 1 and cert.p.tolist() == [[1.0]]
         assert cert.value == r_mu(fx.system, fx.x0) and cert.certified

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carleman_lab import linalg
+from carleman_lab.carleman import integrate_nonautonomous
 from carleman_lab.errors import (
     DimensionMismatchError,
     NonFiniteStateError,
@@ -18,7 +19,6 @@ from carleman_lab.errors import (
 )
 from carleman_lab.system import (
     QuadraticSystem,
-    integrate_nonautonomous,
     integrate_reference,
     rescale,
     rhs,
@@ -233,7 +233,7 @@ class TestReferenceOracles:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lift_benchmark_references(self, bench_workloads, seed):
-        from carleman_lab.system import _dormand_prince
+        from carleman_lab.carleman import _dormand_prince
 
         for system, x0, times in lift_benchmark_cases(bench_workloads, seed):
             field = kron_field(system)
@@ -248,7 +248,7 @@ class TestReferenceOracles:
             assert np.abs(states - tight).max() <= 2e-13
 
     def test_budget_caps_each_solve(self, monkeypatch):
-        from carleman_lab import system
+        from carleman_lab import carleman, system
         from carleman_lab.errors import CapExceededError
 
         steps = count_taylor_steps(monkeypatch)
@@ -264,7 +264,7 @@ class TestReferenceOracles:
             integrate_reference(sys, x0, times)
         # the RK45 cross-check has the same budget
         with pytest.raises(CapExceededError):
-            system._dormand_prince(kron_field(sys), x0, times, 1e-12, 1e-12)
+            carleman._dormand_prince(kron_field(sys), x0, times, 1e-12, 1e-12)
 
     def test_dense_samples_cost_no_steps(self, monkeypatch):
         from carleman_lab import system
@@ -301,16 +301,16 @@ class TestSolverPerCaller:
 
     @staticmethod
     def methods(monkeypatch):
-        from carleman_lab import system
+        from carleman_lab import carleman
 
         seen = []
-        real = system.solve_ivp
+        real = carleman.solve_ivp
 
         def recording(*args, **kwargs):
             seen.append(kwargs["method"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(system, "solve_ivp", recording)
+        monkeypatch.setattr(carleman, "solve_ivp", recording)
         return seen
 
     def test_reference_uses_dop853_cross_check_rk45(self, monkeypatch):
