@@ -9,7 +9,11 @@ linear ODE is solved exactly via an affine augmentation, by the action of
 the matrix exponential on the state (Al-Mohy & Higham, "Computing the
 action of the matrix exponential", SIAM J. Sci. Comput. 33(2), 2011)
 rather than by forming e^{At}, so every truncation-error measurement
-isolates the truncation itself rather than time-stepping error.
+isolates the truncation itself rather than time-stepping error.  The
+augmented generator, its trace shift and its 1-norm are built once per
+evolution, in one pass over the lift's CSR arrays
+(:func:`_shifted_augmented`), and the multiset table of each level once
+per process.
 
 Every shift sum maps symmetric tensors to symmetric tensors, whether or
 not F2 is symmetrized, so the lift started at x0^(j) stays on the
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -220,10 +225,13 @@ def symmetric_dimension(n: int, k: int) -> int:
     return sum(math.comb(n + j - 1, j) for j in range(1, k + 1))
 
 
+@cache
 def _multisets(n: int, j: int) -> np.ndarray:
     """Level-j multisets as sorted index tuples, one per row, in
-    ``combinations_with_replacement`` order."""
-    return np.array(list(combinations_with_replacement(range(n), j)), dtype=np.int64)
+    ``combinations_with_replacement`` order; built once per (n, j) and read-only."""
+    table = np.array(list(combinations_with_replacement(range(n), j)), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _digits(index: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -371,37 +379,82 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     )
 
 
-def _expm_action(a: sp.csr_array):
-    """v, t -> e^{t A} v by scaled truncated Taylor series (Al-Mohy & Higham, Alg. 3.2).
+def _shifted_augmented(lift) -> tuple[sp.csr_array, complex, float]:
+    """G - mu I, mu and ||G - mu I||_1 for the augmented generator G = [[A, a], [0, 0]].
 
-    A is shifted by mu = trace(A)/dim first; the shifted matrix and its
-    1-norm are formed once here, and each call only plans its Taylor
-    degree and step count for its t.  The series stops early once two
-    consecutive terms fall below 2^-53 of the partial sum.
+    One pass over the CSR arrays of A = ``lift.generator()``: row r of G
+    is row r of A with the drive entry a_r, where non-zero, as its last
+    entry (column dim A); mu = trace(G) / dim G is subtracted in each
+    row's diagonal position, entries that cancel to zero are dropped, and
+    the column 1-norm is summed down the rows.  Each step does the
+    arithmetic scipy does, in its order, so the arrays, mu and the norm
+    are bitwise those of ``sp.block_array``, ``G - mu * sp.identity`` and
+    ``abs(G - mu I).sum(axis=0).max()`` (the tests keep that route as the
+    oracle).
     """
-    dim = a.shape[0]
-    mu = a.trace() / dim
-    shifted = a - mu * sp.identity(dim, dtype=complex, format="csr")
-    col_max = abs(shifted).sum(axis=0).max()
+    a = lift.generator()
+    if not a.has_canonical_format:  # sorted, duplicate-free rows, as block_array leaves them
+        a = a.copy()
+        a.sum_duplicates()
+    dim = a.shape[0] + 1
+    driven = np.flatnonzero(lift.drive)
+    counts = np.zeros(dim, dtype=np.int64)
+    counts[:-1] = np.diff(a.indptr)
+    counts[driven] += 1
+    indices = np.insert(a.indices, a.indptr[driven + 1], dim - 1)
+    data = np.insert(a.data.astype(complex, copy=False), a.indptr[driven + 1], lift.drive[driven])
+    rows = np.repeat(np.arange(dim), counts)
+    # trace(G) sums the diagonal 0 + g_rr; the shift is mu * 1 in each row
+    on_diag = indices == rows
+    diag = np.zeros(dim, dtype=complex)
+    diag[rows[on_diag]] += data[on_diag]
+    mu = diag.sum() / dim
+    shift = np.ones(dim, dtype=complex) * mu
+    data[on_diag] -= shift[rows[on_diag]]
+    # a row without a diagonal entry gets 0 - mu after its columns below r
+    bare = np.ones(dim, dtype=bool)
+    bare[rows[on_diag]] = False
+    bare = np.flatnonzero(bare)
+    at = (np.cumsum(counts) - counts + np.bincount(rows[indices < rows], minlength=dim))[bare]
+    indices = np.insert(indices, at, bare)
+    data = np.insert(data, at, 0 - shift[bare])
+    counts[bare] += 1
+    keep = data != 0
+    indices, data = indices[keep], data[keep]
+    indptr = np.zeros(dim + 1, dtype=indices.dtype)
+    np.cumsum(np.bincount(np.repeat(np.arange(dim), counts)[keep], minlength=dim), out=indptr[1:])
+    shifted = sp.csr_array((data, indices, indptr), shape=(dim, dim))
+    col_max = np.bincount(indices, weights=np.abs(data), minlength=dim).max()
+    return shifted, mu, col_max
+
+
+def _expm_action(shifted: sp.csr_array, mu: complex, col_max: float):
+    """v, t -> e^{t (shifted + mu I)} v by scaled truncated Taylor series (Al-Mohy & Higham, Alg. 3.2).
+
+    The shifted matrix, mu and its 1-norm ``col_max`` come from
+    :func:`_shifted_augmented`; each call only plans its Taylor degree and
+    step count for its t.  The series stops early once two consecutive
+    terms fall below 2^-53 of the partial sum.
+    """
 
     def action(v: np.ndarray, t: float) -> np.ndarray:
         m, s = _taylor_plan(float(abs(t) * col_max))
         eta = np.exp(t * mu / s)
         f = v
-        for _ in range(s):
-            term = f
-            c1 = np.max(np.abs(term))
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                term = f
+                c1 = np.abs(term).max()
                 for j in range(1, m + 1):
                     term = (t / (s * j)) * (shifted @ term)
-                    c2 = np.max(np.abs(term))
+                    c2 = np.abs(term).max()
                     f = f + term
-                    if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(f)):
+                    if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
                         break
                     c1 = c2
                 f = eta * f
-            if not np.all(np.isfinite(f)):
-                raise MatrixOverflowError("matrix exponential action overflowed")
+                if not np.all(np.isfinite(f)):
+                    raise MatrixOverflowError("matrix exponential action overflowed")
         return f
 
     return action
@@ -411,10 +464,11 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
     """Exact affine-linear evolution ydot = A y + a, one exponential action per step.
 
     [y; 1] evolves under the sparse augmented generator [[A, a], [0, 0]],
-    so no invertibility of A is assumed.  Each step applies e^{dt G} to
-    the current state without forming it (see :func:`_expm_action`);
-    uneven steps cost no more than even ones, and no randomness is drawn,
-    so reruns are bit-identical.  A non-finite state raises
+    so no invertibility of A is assumed; it is built, shifted and normed
+    once (:func:`_shifted_augmented`).  Each step applies e^{dt G} to the
+    current state without forming it (see :func:`_expm_action`); uneven
+    steps cost no more than even ones, and no randomness is drawn, so
+    reruns are bit-identical.  A non-finite state raises
     :class:`MatrixOverflowError`.
     """
     v0 = np.asarray(y0, dtype=complex).reshape(-1)
@@ -426,10 +480,7 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
     check_cap(cm.total_dim, cap)
-    drive = sp.csr_array(cm.drive.reshape(-1, 1))
-    corner = sp.csr_array((1, 1), dtype=complex)
-    aug = sp.block_array([[cm.generator(), drive], [None, corner]], format="csr")
-    expm = _expm_action(aug)
+    expm = _expm_action(*_shifted_augmented(cm))
     states = np.empty((t.size, cm.total_dim), dtype=complex)
     states[0] = v0
     current = np.concatenate([v0, [1.0 + 0j]])

@@ -13,6 +13,7 @@ Exit codes: 0 success/certified, 1 input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -54,12 +55,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isposinf(v):
-        return "inf"
-    if np.isneginf(v):
-        return "-inf"
-    return f"{v:.17g}"
+    # the format spells the infinities "inf" and "-inf" itself
+    return f"{float(value):.17g}"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -415,7 +412,9 @@ def cmd_combinatorics(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="carleman-lab",
         description="Carleman lifts of quadratic ODEs: certificates, error "
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="declared exp(i w t) modulation frequency of the quadratic term",
     )
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="truncation-error profile vs the reference")
     _add_system_args(p)
@@ -453,33 +451,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=2.0, help="final time")
     p.add_argument("--steps", type=int, default=8, help="number of output intervals")
     p.add_argument("--dump-states", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scan", help="criterion values over a parameter lattice")
     _add_system_args(p)
     p.add_argument("--budget", type=int, default=400)
     p.add_argument("--max-points", type=int, default=10_000)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("diagonalize", help="explicit lift diagonalization dump")
     _add_system_args(p)
     p.add_argument("--k", type=int, default=4, help="truncation order")
-    p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("combinatorics", help="exact identity tables")
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.set_defaults(func=cmd_combinatorics)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_<command> takes effect
+    command = {
+        "certify": cmd_certify,
+        "simulate": cmd_simulate,
+        "scan": cmd_scan,
+        "diagonalize": cmd_diagonalize,
+        "combinatorics": cmd_combinatorics,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ResonantDenominatorError as exc:
         print(f"resonant denominator: {exc}", file=_sys.stderr)
         if exc.offending is not None:

@@ -131,13 +131,38 @@ def level_sums(lams, j: int) -> np.ndarray:
     return out
 
 
+def _overflow_unit(*arrays: np.ndarray) -> float:
+    """The power of two 2^-e that brings every real and imaginary part of the arrays below 1.
+
+    Sums of l such entries then have parts below l, so neither they nor
+    their moduli overflow, and the scaling rounds nothing above the
+    subnormal range.
+    """
+    top = max(float(np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))) for a in arrays)
+    return math.ldexp(1.0, -math.frexp(top)[1])
+
+
 def build_nl(lams, l: int) -> np.ndarray:
-    """Reciprocal-combination matrix with entries 1/(sum of l eigenvalues - lambda_i)."""
+    """Reciprocal-combination matrix with entries 1/(sum of l eigenvalues - lambda_i).
+
+    Where a denominator or its modulus overflows, the eigenvalues are
+    divided by the power of two of :func:`_overflow_unit` first and the
+    reciprocals scaled back; finite denominators are formed unscaled, so
+    their results stay bitwise.
+    """
     ev = as_cvector(lams)
-    sums = level_sums(ev, l)
-    den = sums[None, :] - ev[:, None]
-    scale = max(_scale(ev), 1e-300)
-    bad = np.abs(den) <= DENOMINATOR_RTOL * scale
+
+    def denominators(ev):
+        den = level_sums(ev, l)[None, :] - ev[:, None]
+        return den, np.abs(den), _scale(ev)
+
+    unit = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, size, scale = denominators(ev)
+    if not (math.isfinite(scale) and np.all(np.isfinite(size))):
+        unit = _overflow_unit(ev)
+        den, size, scale = denominators(ev * unit)
+    bad = size <= DENOMINATOR_RTOL * max(scale, 1e-300)
     if np.any(bad):
         i, col = np.argwhere(bad)[0]
         combo = tuple(
@@ -147,7 +172,7 @@ def build_nl(lams, l: int) -> np.ndarray:
             f"denominator vanishes for eigenvalue {int(i)} against tuple {combo}",
             offending=(int(i), combo),
         )
-    return 1.0 / den
+    return unit / den
 
 
 def _map_blocks(n: int, k: int, first_row) -> dict:
@@ -276,6 +301,25 @@ class CarlemanDiagonalization:
     inverse_residual: float
 
 
+def _similarity_residual(lams, f2t, v: dict, k: int) -> float:
+    """``residual`` of :class:`CarlemanDiagonalization` (see :func:`_blockwise_residuals`)."""
+    n = len(lams)
+    d = {j: level_sums(lams, j) for j in range(1, k + 1)}
+    scale = max(max(np.abs(dj).max() for dj in d.values()), np.abs(f2t).max(), 1e-300)
+    norms = []
+    for i in range(1, k + 1):
+        # the zero diagonal term keeps the row-major order of the norm's sum
+        norms.append(0.0)
+        for j in range(i + 1, k + 1):
+            vij = v[(i, j)]
+            if i + 1 < j:
+                coupling = _shift_apply(f2t, v[(i + 1, j)], n, i)
+            else:
+                coupling = _shift_block(f2t, n, i)
+            norms.append(np.linalg.norm(d[i][:, None] * vij - vij * d[j][None, :] + coupling))
+    return float(np.linalg.norm(norms) / scale)
+
+
 def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, float]:
     """``residual`` and ``inverse_residual`` of :class:`CarlemanDiagonalization`.
 
@@ -284,27 +328,24 @@ def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, fl
     dense block A~_(j-1,j) (:func:`_shift_block`), the product with I,
     and E_(i,j) = W_(i,j) + sum_{i<m<j} V_(i,m) W_(m,j) + V_(i,j): the
     full sum, in its order, less the exact products with I, so both
-    residuals equal the full products' bitwise.
+    residuals equal the full products' bitwise.  V depends only on the
+    ratio of F2~ to the eigenvalues, so ``residual`` does not change when
+    both are divided by one power of two; where a level sum, its scale or
+    a norm overflows, it is formed from those scaled by
+    :func:`_overflow_unit`, and a finite residual is formed unscaled.
     """
-    n = len(lams)
-    d = {j: level_sums(lams, j) for j in range(1, k + 1)}
-    scale = max(max(np.abs(dj).max() for dj in d.values()), np.abs(f2t).max(), 1e-300)
-    similarity, inverse = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _similarity_residual(lams, f2t, v, k)
+    if not math.isfinite(residual):
+        unit = _overflow_unit(lams, f2t)
+        residual = _similarity_residual(lams * unit, f2t * unit, v, k)
+    inverse = []
     for i in range(1, k + 1):
-        # the zero diagonal terms keep the row-major order of the norms' sums
-        similarity.append(0.0)
         inverse.append(0.0)
         for j in range(i + 1, k + 1):
-            vij = v[(i, j)]
-            if i + 1 < j:
-                coupling = _shift_apply(f2t, v[(i + 1, j)], n, i)
-            else:
-                coupling = _shift_block(f2t, n, i)
-            r = d[i][:, None] * vij - vij * d[j][None, :] + coupling
-            e = sum((v[(i, m)] @ w[(m, j)] for m in range(i + 1, j)), w[(i, j)]) + vij
-            similarity.append(np.linalg.norm(r))
+            e = sum((v[(i, m)] @ w[(m, j)] for m in range(i + 1, j)), w[(i, j)]) + v[(i, j)]
             inverse.append(np.linalg.norm(e))
-    return float(np.linalg.norm(similarity) / scale), float(np.linalg.norm(inverse))
+    return residual, float(np.linalg.norm(inverse))
 
 
 def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalization:

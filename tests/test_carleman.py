@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from carleman_lab import linalg
 from carleman_lab.carleman import (
+    _shifted_augmented,
     assemble_dense,
     build_blocks,
     build_symmetric_lift,
@@ -229,6 +230,60 @@ class TestSparseActionOracle:
         expected = dense_lift(cm, y0, times)
         got = integrate_lift(cm, y0, times).states
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def scipy_shifted_augmented(lift):
+    """The oracle: G = [[A, a], [0, 0]] by ``sp.block_array``, then scipy's trace, shift and 1-norm."""
+    drive = sp.csr_array(lift.drive.reshape(-1, 1))
+    corner = sp.csr_array((1, 1), dtype=complex)
+    aug = sp.block_array([[lift.generator(), drive], [None, corner]], format="csr")
+    dim = aug.shape[0]
+    mu = aug.trace() / dim
+    shifted = aug - mu * sp.identity(dim, dtype=complex, format="csr")
+    return shifted, mu, abs(shifted).sum(axis=0).max()
+
+
+def assert_bitwise_operator(lift):
+    shifted, mu, col_max = _shifted_augmented(lift)
+    want_shifted, want_mu, want_col_max = scipy_shifted_augmented(lift)
+    assert shifted.shape == want_shifted.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(shifted, name), getattr(want_shifted, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert np.complex128(mu).tobytes() == np.complex128(want_mu).tobytes()
+    assert np.float64(col_max).tobytes() == np.float64(want_col_max).tobytes()
+
+
+class TestShiftedAugmentedOracle:
+    """The one-pass evolution operator is bitwise the block_array route it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_lift_benchmark_systems(self, bench_workloads, seed):
+        bench = bench_workloads
+        cases = [(n, [k]) for n, k, _t, _steps in bench.LIFT_SIMULATIONS]
+        cases += [(n, range(lo, hi + 1)) for n, lo, hi in bench.LIFT_SWEEPS]
+        for index, (n, ks) in enumerate(cases):
+            f0, f1, f2, _x0 = bench.stable_driven_system(bench._rng(seed, index), n)
+            lifted = build_symmetric_lift(QuadraticSystem(f0=f0, f1=f1, f2=f2), max(ks))
+            for k in ks:  # every truncation a sweep evolves
+                assert_bitwise_operator(lifted.truncated(k))
+
+    def test_undriven_lift(self):
+        sys = random_system(4, n=3)
+        undriven = QuadraticSystem(f0=np.zeros(3), f1=sys.f1, f2=sys.f2)
+        assert_bitwise_operator(build_symmetric_lift(undriven, 4))
+
+    def test_full_coordinate_lift(self):
+        assert_bitwise_operator(build_blocks(random_system(5, n=3), 3))
+
+    @pytest.mark.parametrize("f1", [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, -1.0]]])
+    def test_cancelled_and_missing_diagonals(self, f1):
+        # level 2 of diag(1, -1) stores an explicit zero, and with
+        # diag(2, 1) at k = 1 the shift cancels a diagonal entry exactly
+        sys = QuadraticSystem(f0=[0.5, 0.0], f1=f1, f2=np.zeros((2, 4)))
+        for k in (1, 2, 3):
+            assert_bitwise_operator(build_symmetric_lift(sys, k))
+            assert_bitwise_operator(build_blocks(sys, k))
 
 
 class TestErrorProfile:

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carleman_lab.cli import main
+from carleman_lab import cli
+from carleman_lab.cli import _fmt, main
 from carleman_lab.jsonio import system_to_json
 from carleman_lab.system import QuadraticSystem
 
@@ -538,6 +544,79 @@ class TestDeterminism:
         out_b = tmp_path / "b.out"
         assert run(case + ["--out", str(out_a)]) == run(case + ["--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestParserCache:
+    """One parser per process serves every call with a fresh namespace."""
+
+    RUNS = [
+        ["certify", "--fixture", "scalar"],
+        ["simulate", "--fixture", "damped_oscillator", "--k", "3", "--steps", "2"],
+        ["scan", "--fixture", "damped_oscillator", "--param", "r=0.8:1.6:2",
+         "--param", "n=0.05:0.15:2", "--budget", "20"],
+        ["diagonalize", "--fixture", "scalar", "--k", "3"],
+        ["combinatorics", "--max-k", "4"],
+        ["certify", "--fixture", "damped_oscillator", "--param", "r=1.5", "--param", "n=0.1"],
+    ]
+    BAD = ["simulate", "--k", "four"]
+
+    @staticmethod
+    def fresh(argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "carleman_lab.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    def test_in_process_runs_match_fresh_processes(self, tmp_path, capsys):
+        for index, argv in enumerate(self.RUNS):
+            fresh_out, here_out = tmp_path / f"fresh{index}.out", tmp_path / f"here{index}.out"
+            fresh = self.fresh([*argv, "--out", str(fresh_out)])
+            assert main([*argv, "--out", str(here_out)]) == fresh.returncode
+            assert capsys.readouterr().err == fresh.stderr
+            assert here_out.read_bytes() == fresh_out.read_bytes()
+            # an argparse error between calls leaves the parser as it was
+            with pytest.raises(SystemExit) as exc:
+                main(self.BAD)
+            assert exc.value.code == 2
+            bad_err = capsys.readouterr().err
+        fresh = self.fresh(self.BAD)
+        assert (fresh.returncode, fresh.stderr) == (2, bad_err)
+
+    def test_replaced_command_is_called(self, monkeypatch):
+        parser = cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_certify", lambda args: seen.append(args.param) or 17)
+        assert main(["certify", "--fixture", "scalar", "--param", "a=-1"]) == 17
+        assert main(["certify", "--fixture", "scalar"]) == 17
+        assert seen == [["a=-1"], None]
+        assert cli.build_parser() is parser
+
+
+def numpy_predicate_fmt(value) -> str:
+    """``cli._fmt`` as it was, testing the infinities with np.isposinf / np.isneginf."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if np.isposinf(v):
+        return "inf"
+    if np.isneginf(v):
+        return "-inf"
+    return f"{v:.17g}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+     -sys.float_info.max, 0.1, np.float64(math.inf), np.float64(-math.inf),
+     np.float64(math.nan), np.float64(-0.0), np.float64(1 / 3), np.int64(-7),
+     np.int64(2**62), True, False, 0, -12, 2**70],
+    ids=repr,
+)
+def test_fmt_matches_numpy_predicates(value):
+    assert _fmt(value) == numpy_predicate_fmt(value)
 
 
 def count_calls(monkeypatch, fn) -> list:

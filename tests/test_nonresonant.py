@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,57 @@ class TestBuildNl:
     def test_marginal_pair_order_two_is_fine(self):
         nl = build_nl([1j, -1j], 2)
         assert np.all(np.isfinite(nl))
+
+
+class TestOverflowSafeLevelSums:
+    """Level sums past the largest double are formed on eigenvalues scaled by a power of two."""
+
+    def test_finite_denominators_are_formed_unscaled(self):
+        rng = np.random.default_rng(3)
+        lams = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for l in (2, 3, 4):
+            want = 1.0 / (level_sums(lams, l)[None, :] - lams[:, None])
+            assert build_nl(lams, l).tobytes() == want.tobytes()
+
+    def test_overflowing_sums_give_their_reciprocals(self):
+        c = 2.0**1023
+        lams = np.array([-c, -0.75 * c, 0.5j * c])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (2, 3):
+                nl = build_nl(lams, l)
+                # the same sums on eigenvalues / 8 do not overflow
+                want = build_nl(lams / 8, l) / 8
+                assert np.all(nl != 0)
+                assert np.allclose(nl, want, rtol=1e-14, atol=0)
+
+    def test_resonance_past_the_largest_double_exits_4(self, tmp_path):
+        # eigenvalues +-sqrt(2) 1e308 resonate at order 3: c + c - c = c
+        c = 1e308
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(system_to_json(
+            QuadraticSystem(f0=np.zeros(2), f1=[[c, c], [c, -c]], f2=np.zeros((2, 4)))
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["diagonalize", "--system", str(sys_path), "--x0", "0.1,0.1",
+                             "--out", str(tmp_path / "d.json")])
+        assert code == 4
+
+    def test_residual_scale_stays_finite(self):
+        lams, f2t = np.array([-1.0, -0.7]), np.array([[0.1, 0, 0.03, 0], [0, 0.2, 0, 0.01]])
+        k = 4
+        base = _blockwise_residuals(lams, f2t, build_v_blocks(lams, f2t, k),
+                                    build_vinv_blocks(lams, f2t, k), k)
+        for unit in (2.0**1021, 2.0**1023):  # level-4 sums reach 4 * 2^1023
+            big_lams, big_f2t = lams * unit, f2t * unit
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = build_v_blocks(big_lams, big_f2t, k)
+                w = build_vinv_blocks(big_lams, big_f2t, k)
+                residual, inverse = _blockwise_residuals(big_lams, big_f2t, v, w, k)
+            assert residual == pytest.approx(base[0], rel=0.01)
+            assert inverse <= 1e-15
 
 
 class TestVBlocks:

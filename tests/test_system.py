@@ -1,7 +1,4 @@
-import importlib.util
-import sys as interpreter
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,18 +200,6 @@ class TestVectorField:
         scaled = _taylor_coefficients(g, x0, 0.5)
         powers = 0.5 ** np.arange(coeffs.shape[0])
         assert np.allclose(scaled, coeffs * powers[:, None], rtol=1e-13, atol=0)
-
-
-@pytest.fixture
-def bench_workloads(monkeypatch):
-    """``bench/workloads.py``, loaded by path without writing bytecode."""
-    monkeypatch.setattr(interpreter, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(interpreter.modules, spec.name, module)  # for its dataclasses
-    spec.loader.exec_module(module)
-    return module
 
 
 def lift_benchmark_cases(bench, seed):
