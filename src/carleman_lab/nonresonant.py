@@ -48,6 +48,9 @@ DENOMINATOR_RTOL = 1e-12
 # the no-resonance gap enumerates every order up to at least this one
 GAP_MIN_ORDER = 6
 _DELTA1_HARD_CAP = 200
+# below this scale, residual entries of about 2^-60 relative to it would
+# square into the subnormal range, where the Frobenius norm loses them
+_TINY_RESIDUAL_SCALE = 2.0**-450
 
 POINCARE = "poincare"
 SIEGEL = "siegel"
@@ -102,8 +105,17 @@ def delta_gap_poincare(lams) -> float:
     minimum over the orders up to max(k0 - 1, :data:`GAP_MIN_ORDER`), so
     the returned value certifies the full infimum, not just the orders
     enumerated.
+
+    The hull test multiplies coordinate differences, up to 8 scale^2, and
+    the enumeration sums up to :data:`_DELTA1_HARD_CAP` eigenvalues.  Where
+    these would overflow, both run on the eigenvalues scaled by the power
+    of two of :func:`_overflow_unit` and the gap is scaled back; otherwise
+    the eigenvalues are used as given.
     """
     ev = as_cvector(lams)
+    scale = _scale(ev)
+    unit = 1.0 if math.isfinite(8.0 * scale * scale) else _overflow_unit(ev)
+    ev = ev * unit
     status = origin_hull_status(ev)
     if classify_domain(status) != POINCARE:
         raise NotPoincareError("spectrum does not lie in the Poincare domain")
@@ -119,7 +131,7 @@ def delta_gap_poincare(lams) -> float:
         (float(gaps.min()) / (total - 1) for total, gaps in _nonresonant_gaps(ev, top)),
         default=np.inf,
     )
-    return min(float(delta0), float(delta1))
+    return min(float(delta0), float(delta1)) / unit
 
 
 def level_sums(lams, j: int) -> np.ndarray:
@@ -136,10 +148,11 @@ def _overflow_unit(*arrays: np.ndarray) -> float:
 
     Sums of l such entries then have parts below l, so neither they nor
     their moduli overflow, and the scaling rounds nothing above the
-    subnormal range.
+    subnormal range.  The unit is capped at 2^1023, so arrays whose
+    largest part is subnormal still get a finite one.
     """
     top = max(float(np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))) for a in arrays)
-    return math.ldexp(1.0, -math.frexp(top)[1])
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
 def build_nl(lams, l: int) -> np.ndarray:
@@ -181,10 +194,16 @@ def _map_blocks(n: int, k: int, first_row) -> dict:
     Blocks (i, j), i < j <= k, come back in row-major order; every
     diagonal block is an exact identity and is left implicit.  Column by
     column, rows j-1..2 follow from the first block row by
-    V_(i,j) = sum_{m=1..j-i+1} V_(i-1,j-m) (x) V_(1,m), whose factors
-    V_(1,1) and V_(i-1,i-1) are identities built here as needed; then
-    ``first_row(j, block)`` returns block (1, j), where ``block(i, j)``
-    gives any block built so far, or the identity when i == j.
+    V_(i,j) = sum_{m=1..j-i+1} V_(i-1,j-m) (x) V_(1,m).  The first and
+    last terms have an identity factor, V_(1,1) resp. V_(i-1,i-1): the
+    first is written into, and the last added onto, the strided
+    ``np.einsum`` diagonal view of the block that its Kronecker product
+    fills, as in :func:`_shift_block`, so neither is multiplied out.  A
+    product with an exact 1 or 0 rounds nothing and the terms keep their
+    order, so each finite block is ``np.array_equal`` to the sum of the
+    full products.  Then ``first_row(j, block)`` returns block (1, j),
+    where ``block(i, j)`` gives any block built so far, or the identity
+    when i == j.
     """
     identity = cache(lambda level: np.eye(n**level, dtype=complex))
     blocks = {}
@@ -194,9 +213,16 @@ def _map_blocks(n: int, k: int, first_row) -> dict:
 
     for j in range(2, k + 1):
         for i in range(j - 1, 1, -1):
-            acc = kron2(block(i - 1, j - 1), identity(1))
-            for m in range(2, j - i + 2):
-                acc += kron2(block(i - 1, j - m), block(1, m))
+            outer = n ** (i - 1)
+            acc = np.zeros((n**i, n**j), dtype=complex)
+            # V_(i-1,j-1) (x) I_n fills the entries ((a, p), (b, p))
+            first = np.einsum("apbp->abp", acc.reshape(outer, n, -1, n))
+            first[...] = blocks[(i - 1, j - 1)][:, :, None]
+            for m in range(2, j - i + 1):
+                acc += kron2(blocks[(i - 1, j - m)], blocks[(1, m)])
+            # I_(n^(i-1)) (x) V_(1,j-i+1) fills the entries ((o, a), (o, b))
+            last = blocks[(1, j - i + 1)]
+            np.einsum("oaob->oab", acc.reshape(outer, n, outer, -1))[...] += last[None]
             blocks[(i, j)] = acc
         blocks[(1, j)] = first_row(j, block)
     return dict(sorted(blocks.items()))
@@ -330,12 +356,16 @@ def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, fl
     full sum, in its order, less the exact products with I, so both
     residuals equal the full products' bitwise.  V depends only on the
     ratio of F2~ to the eigenvalues, so ``residual`` does not change when
-    both are divided by one power of two; where a level sum, its scale or
-    a norm overflows, it is formed from those scaled by
-    :func:`_overflow_unit`, and a finite residual is formed unscaled.
+    both are scaled by one power of two.  It is formed from those scaled
+    by :func:`_overflow_unit` where a level sum, its scale or a norm
+    overflows, and where the eigenvalues and F2~ lie below
+    :data:`_TINY_RESIDUAL_SCALE`; otherwise it is formed unscaled.
     """
+    unit = 1.0
+    if max(_scale(lams), _scale(f2t)) < _TINY_RESIDUAL_SCALE:
+        unit = _overflow_unit(lams, f2t)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _similarity_residual(lams, f2t, v, k)
+        residual = _similarity_residual(lams * unit, f2t * unit, v, k)
     if not math.isfinite(residual):
         unit = _overflow_unit(lams, f2t)
         residual = _similarity_residual(lams * unit, f2t * unit, v, k)
@@ -401,7 +431,12 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
     every row has bound None and passes.  The rows come in row-major block
     order, V before V^{-1}.  The implicit identity diagonal blocks have
     norm 1.0 and bound 1.0; the other norms come from :func:`block_norm`,
-    within 1e-13 relative of the SVD.
+    within 1e-13 relative of the SVD.  A V^{-1} block that is exactly the
+    negated V block, as every superdiagonal block is (the inverse map's
+    quadratic coefficient is -W_2), takes V's norm: -B has B's Gram
+    matrix bitwise, so the norm is the one its own :func:`block_norm`
+    would return.  Every other block, and any block holding a NaN, takes
+    its own.
     """
     s = column_sparsity(diag.f2_tilde)
     f2n = float(np.linalg.norm(diag.f2_tilde, 2))
@@ -411,8 +446,13 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
     for i in range(1, diag.k + 1):
         for j in range(i, diag.k + 1):
             bound = None if base is None else float(comb(j - 1, i - 1) * base ** (j - i))
-            for family, blocks in (("v", diag.v_blocks), ("vinv", diag.vinv_blocks)):
-                norm = 1.0 if i == j else block_norm(blocks[(i, j)])
+            if i == j:
+                norms = (1.0, 1.0)
+            else:
+                v, w = diag.v_blocks[(i, j)], diag.vinv_blocks[(i, j)]
+                v_norm = block_norm(v)
+                norms = (v_norm, v_norm if np.array_equal(w, -v) else block_norm(w))
+            for family, norm in zip(("v", "vinv"), norms):
                 ok = bound is None or norm <= bound * (1.0 + 1e-9)
                 all_ok &= ok
                 rows.append(

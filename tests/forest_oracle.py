@@ -9,6 +9,10 @@ Two oracles for :func:`carleman_lab.nonresonant.build_v_blocks` and
 * the per-tree forest sum for V^{-1}: signed weights of every tree shape
   summed over node labelings and topological orders, independent of V.
 
+:func:`map_blocks_by_kron` is the block recursion of
+:func:`carleman_lab.nonresonant._map_blocks` with every Kronecker term,
+the two with an identity factor included, multiplied out.
+
 :class:`TreeStructure` is the indexing view of one tree shape that the
 forest sum walks.  :func:`fusion_sum_by_paths` is the path-enumeration
 oracle for :func:`carleman_lab.forests.fusion_sum`: it walks all
@@ -30,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from carleman_lab.forests import LEAF, compositions, enumerate_trees
-from carleman_lab.linalg import as_cvector, kron_chain
+from carleman_lab.linalg import as_cvector, kron2, kron_chain
 from carleman_lab.nonresonant import _shift_apply, build_nl, level_sums
 
 
@@ -144,6 +148,28 @@ def forest_blocks(sums: dict, k: int) -> dict:
                 acc = term if acc is None else acc + term
             blocks[(i, j)] = acc
     return blocks
+
+
+def map_blocks_by_kron(n: int, k: int, first_row) -> dict:
+    """Oracle for ``nonresonant._map_blocks``: every term's Kronecker product formed.
+
+    V_(i,j) = sum_{m=1..j-i+1} V_(i-1,j-m) (x) V_(1,m) in that order, with
+    the identity factors V_(1,1) and V_(i-1,i-1) built as dense matrices.
+    """
+    identity = {level: np.eye(n**level, dtype=complex) for level in range(1, k + 1)}
+    blocks = {}
+
+    def block(i: int, j: int) -> np.ndarray:
+        return identity[i] if i == j else blocks[(i, j)]
+
+    for j in range(2, k + 1):
+        for i in range(j - 1, 1, -1):
+            acc = kron2(block(i - 1, j - 1), identity[1])
+            for m in range(2, j - i + 2):
+                acc += kron2(block(i - 1, j - m), block(1, m))
+            blocks[(i, j)] = acc
+        blocks[(1, j)] = first_row(j, block)
+    return dict(sorted(blocks.items()))
 
 
 def v_blocks_by_composition(lams, f2_tilde, k: int) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -46,12 +47,20 @@ from carleman_lab.carleman import integrate_nonautonomous
 from carleman_lab.system import QuadraticSystem, integrate_reference
 from forest_oracle import (
     blockwise_residuals_full,
+    map_blocks_by_kron,
     v_blocks_by_composition,
     vinv_blocks_by_composition,
     vinv_blocks_by_forest,
     strictly_upper,
     with_identities,
 )
+
+
+def benchmark_diagonalize_systems(bench, seed):
+    """(system, k) of every diagonalize request of the benchmark at ``seed``."""
+    for index, (n, k) in enumerate(bench.DIAGONALIZE_CASES):
+        f0, f1, f2, _x0 = bench.poincare_system(bench._rng(seed, index), n)
+        yield QuadraticSystem(f0=f0, f1=f1, f2=f2), k
 
 
 def random_poincare_system(seed, n=2, f2_scale=0.05):
@@ -209,6 +218,44 @@ class TestOverflowSafeLevelSums:
                              "--out", str(tmp_path / "d.json")])
         assert code == 4
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_gap_of_huge_benchmark_spectra_scales_exactly(self, bench_workloads, seed):
+        # the hull test squares coordinates past the largest double at 2^1020
+        for sys, _k in benchmark_diagonalize_systems(bench_workloads, seed):
+            ev = sys.spectrum.dec.eigenvalues
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert delta_gap_poincare(ev * 2.0**1020) == 2.0**1020 * delta_gap_poincare(ev)
+
+    def test_spectrum_near_the_largest_double_diagonalizes(self, tmp_path):
+        sys_path = tmp_path / "sys.json"
+        f2 = [[0.01, 0.05, 0.02, 0.1], [0.03, 0.04, 0.06, 0.08]]
+        sys_path.write_text(system_to_json(
+            QuadraticSystem(f0=np.zeros(2), f1=np.diag([-1e308, -0.7e308]), f2=f2)
+        ))
+        out = tmp_path / "d.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["diagonalize", "--system", str(sys_path), "--x0", "0.1,0.1",
+                             "--k", "3", "--out", str(out)])
+        assert code == 0
+        # the gap of diag(-1, -0.7), 0.4 at order 2, scaled back
+        assert json.loads(out.read_text())["delta"] == pytest.approx(0.4e308, rel=1e-12)
+
+    def test_residual_of_tiny_spectrum_is_the_unit_one(self):
+        # unscaled, residual entries near 1e-317 square to zero in the norm
+        lams, f2t = np.array([-1.0, -0.7]), np.array([[0.1, 0.02, 0.03, 0.2], [0.01, 0.2, 0.05, 0.01]])
+        k = 4
+
+        def residual(scale):
+            l, f = lams * scale, f2t * scale
+            v, w = build_v_blocks(l, f, k), build_vinv_blocks(l, f, k)
+            return _blockwise_residuals(l, f, v, w, k)[0]
+
+        base = residual(1.0)
+        assert base > 0
+        assert residual(2.0**-1000) == base
+
     def test_residual_scale_stays_finite(self):
         lams, f2t = np.array([-1.0, -0.7]), np.array([[0.1, 0, 0.03, 0], [0, 0.2, 0, 0.01]])
         k = 4
@@ -280,6 +327,20 @@ class TestVBlocks:
             for (i, j), block in expected.items():
                 scale = np.abs(block).max()
                 assert np.abs(blocks[(i, j)] - block).max() <= rtol * scale, (i, j)
+
+    @pytest.mark.parametrize("n,k", [(1, 10), (2, 7), (3, 6), (4, 4)])
+    def test_identity_factors_match_kron_recursion(self, monkeypatch, n, k):
+        rng = np.random.default_rng(50 + 10 * n + k)
+        lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+        builds = (build_v_blocks, build_vinv_blocks)
+        family = [build(lams, f2t, k) for build in builds]
+        monkeypatch.setattr(nonresonant, "_map_blocks", map_blocks_by_kron)
+        for build, blocks in zip(builds, family):
+            expected = build(lams, f2t, k)
+            assert list(blocks) == list(expected)
+            for key, block in expected.items():
+                assert np.array_equal(blocks[key], block), (build.__name__, key)
 
 
 def _paper_vinv_13(lams, f2t):
@@ -411,6 +472,18 @@ class TestVInverseBlocks:
         v = build_v_blocks(lams, f2t, 2)
         w = build_vinv_blocks(lams, f2t, 2)
         assert np.allclose(w[(1, 2)], -v[(1, 2)], atol=1e-13)
+
+    @pytest.mark.parametrize("n,k", [(1, 10), (2, 7), (3, 6), (4, 4)])
+    def test_superdiagonal_is_negated_forward_block_exactly(self, n, k):
+        # the inverse map's quadratic coefficient is -W_2, and negation
+        # commutes exactly with every product and sum of the recursion; the
+        # entries outside a Kronecker term's support are +0.0 in both
+        rng = np.random.default_rng(60 + 10 * n + k)
+        lams = -rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        f2t = rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))
+        v, w = build_v_blocks(lams, f2t, k), build_vinv_blocks(lams, f2t, k)
+        for i in range(1, k):
+            assert np.array_equal(w[(i, i + 1)], -v[(i, i + 1)]), i
 
     def test_explicit_13_formula(self):
         lams, f2t = self._data(2)
@@ -712,15 +785,45 @@ class TestBlockNorm:
         diag = diagonalize_carleman(random_poincare_system(8, n=3), 4)
         seen = self.gram_inputs(monkeypatch)
         report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
-        # one Gram matrix per off-diagonal block, n^i x n^i for block (i, j)
+        # one n^i x n^i Gram matrix per off-diagonal V block (i, j), and one
+        # per V^-1 block off the superdiagonal, where V^-1 is -V
         assert [a.shape for a in seen] == [
-            (3**row["i"],) * 2 for row in report["rows"] if row["i"] < row["j"]
+            (3**row["i"],) * 2
+            for row in report["rows"]
+            if row["i"] < row["j"] and (row["family"] == "v" or row["j"] > row["i"] + 1)
         ]
         diagonal = [row for row in report["rows"] if row["i"] == row["j"]]
         assert [(row["family"], row["i"]) for row in diagonal] == [
             (family, i) for i in range(1, 5) for family in ("v", "vinv")
         ]
         assert all(row["norm"] == row["bound"] == 1.0 for row in diagonal)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_benchmark_norms_equal_fresh_block_norms(self, monkeypatch, bench_workloads, seed):
+        for sys, k in benchmark_diagonalize_systems(bench_workloads, seed):
+            diag = diagonalize_carleman(sys, k)
+            seen = self.gram_inputs(monkeypatch)
+            report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
+            # every superdiagonal V^-1 block reuses V's norm
+            assert len(seen) == k * (k - 1) // 2 + (k - 1) * (k - 2) // 2
+            for row in report["rows"]:
+                if row["i"] < row["j"]:
+                    blocks = diag.v_blocks if row["family"] == "v" else diag.vinv_blocks
+                    assert row["norm"] == block_norm(blocks[(row["i"], row["j"])]), row
+            monkeypatch.undo()
+
+    def test_perturbed_inverse_block_takes_its_own_gram(self, monkeypatch):
+        diag = diagonalize_carleman(random_poincare_system(8, n=3), 4)
+        w = diag.vinv_blocks[(2, 3)].copy()
+        w[4, 7] *= 1.0 + 2.0**-30
+        perturbed = dataclasses.replace(diag, vinv_blocks={**diag.vinv_blocks, (2, 3): w})
+        seen = self.gram_inputs(monkeypatch)
+        norm_bounds_check(diag, None)
+        reused = len(seen)
+        rows = norm_bounds_check(perturbed, None)["rows"]
+        assert len(seen) - reused == reused + 1
+        row = next(r for r in rows if (r["family"], r["i"], r["j"]) == ("vinv", 2, 3))
+        assert row["norm"] == block_norm(w)
 
     def test_perturbed_identity_takes_gram_kernel(self, monkeypatch):
         block = np.eye(9, dtype=complex)
