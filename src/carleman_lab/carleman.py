@@ -13,7 +13,9 @@ isolates the truncation itself rather than time-stepping error.  The
 augmented generator, its trace shift and its 1-norm are built once per
 evolution, in one pass over the lift's CSR arrays
 (:func:`_shifted_augmented`), and the multiset table of each level once
-per process.
+per process, from :func:`linalg.multiset_rows`, the one enumerator of
+index multisets, which the no-resonance gap of :mod:`nonresonant` reads
+too.
 
 Every shift sum maps symmetric tensors to symmetric tensors, whether or
 not F2 is symmetrized, so the lift started at x0^(j) stays on the
@@ -47,7 +49,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,7 +61,7 @@ from .errors import (
     StepSizeUnderflowError,
     check_cap,
 )
-from .linalg import as_cvector, tensor_power
+from .linalg import as_cvector, multiset_rows, tensor_power
 from .system import QuadraticSystem, Trajectory, _charge, _sample_times, integrate_reference
 
 #: theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53:
@@ -228,8 +229,9 @@ def symmetric_dimension(n: int, k: int) -> int:
 @cache
 def _multisets(n: int, j: int) -> np.ndarray:
     """Level-j multisets as sorted index tuples, one per row, in
-    ``combinations_with_replacement`` order; built once per (n, j) and read-only."""
-    table = np.array(list(combinations_with_replacement(range(n), j)), dtype=np.int64)
+    ``combinations_with_replacement`` order: the blocks of
+    :func:`linalg.multiset_rows` joined, built once per (n, j) and read-only."""
+    table = np.concatenate(list(multiset_rows(n, j)))
     table.flags.writeable = False
     return table
 

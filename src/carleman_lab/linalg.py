@@ -3,8 +3,10 @@
 Everything downstream (lift assembly, certificates, diagonalization)
 builds on the routines here: eigendecomposition with an explicit
 diagonalizability verdict, matrix exponentials, log-norms in plain and
-weighted inner products, Lyapunov solves, and planar convex-hull
-classification of spectra.
+weighted inner products, Lyapunov solves, planar convex-hull
+classification of spectra, and :func:`multiset_rows`, the package's one
+enumerator of index multisets, which both the lift's multiset
+coordinates and the no-resonance gap read.
 
 Matrices are plain ``numpy`` arrays with ``complex128`` entries.  All
 functions are pure; nothing here keeps state.
@@ -12,7 +14,9 @@ functions are pure; nothing here keeps state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -32,6 +36,9 @@ DIAGONALIZABLE_KAPPA_CUTOFF = 1e12
 
 #: Degeneracy slack for the planar convex-hull predicates.
 HULL_SLACK = 1e-12
+
+#: Most rows in one block of :func:`multiset_rows`.
+MULTISET_BLOCK_ROWS = 32768
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -119,6 +126,21 @@ def column_sparsity(m, rtol: float = 1e-12) -> int:
         return 1
     counts = np.count_nonzero(np.abs(a) > rtol * top, axis=0)
     return int(max(counts.max(), 1))
+
+
+def multiset_rows(n: int, j: int):
+    """The size-j multisets of indices 0..n-1 as sorted index rows, in blocks.
+
+    Rows come in ``combinations_with_replacement`` order, C(n+j-1, j) of
+    them for j >= 1, as int64 arrays of at most
+    :data:`MULTISET_BLOCK_ROWS` rows each, so a caller that reduces block
+    by block holds one block at a time.
+    """
+    flat = chain.from_iterable(combinations_with_replacement(range(n), j))
+    total = math.comb(n + j - 1, j)
+    for start in range(0, total, MULTISET_BLOCK_ROWS):
+        rows = min(MULTISET_BLOCK_ROWS, total - start)
+        yield np.fromiter(flat, dtype=np.int64, count=rows * j).reshape(rows, j)
 
 
 @dataclass(frozen=True)

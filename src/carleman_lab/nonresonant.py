@@ -10,7 +10,9 @@ matrices of maps, both follow from their first block rows by one
 Kronecker recursion; this module builds those blocks and verifies the
 analytic norm bounds.  It also places a spectrum in the Poincare or
 Siegel domain, takes the Poincare no-resonance gap Delta and its
-resonance refusal from one enumerator of eigenvalue multisets, and
+resonance refusal as array work on the blocks of eigenvalue-index
+multisets from :func:`linalg.multiset_rows`, the enumerator the lift's
+multiset coordinates read too, and
 issues the R_Delta / R_omega certificates and per-block truncation-error
 bounds for Poincare-domain, split-Siegel and oscillating-nonlinearity
 systems.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -40,7 +42,7 @@ from .errors import (
     WrongSignError,
     check_cap,
 )
-from .linalg import HullStatus, as_cvector, column_sparsity, kron2, origin_hull_status
+from .linalg import HullStatus, as_cvector, kron2, multiset_rows, origin_hull_status
 from .system import QuadraticSystem, Spectrum
 
 RESONANCE_RTOL = 1e-10
@@ -62,27 +64,47 @@ def _scale(lams: np.ndarray) -> float:
 
 
 def _require_nonpositive(lams: np.ndarray) -> float:
-    """Roundoff slack on Re(lambda) <= 0, after refusing a spectrum that exceeds it."""
-    tol = 1e-10 * max(_scale(lams), 1.0)
+    """Roundoff slack on Re(lambda) <= 0, after refusing a spectrum that exceeds it.
+
+    The slack is relative to the spectrum's scale, as the gap's hull test
+    is, so a small spectrum with a positive real part is refused too.
+    """
+    tol = 1e-10 * _scale(lams)
     if np.any(lams.real > tol):
         raise WrongSignError("some eigenvalue has positive real part")
     return tol
 
 
-def _nonresonant_gaps(ev: np.ndarray, top: int):
-    """(order, gaps) for every multiset of 2..top eigenvalue indices.
+def _multiset_gaps(ev: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|lambda_i - sum of the multiset's eigenvalues|, one row per multiset of ``rows``.
 
-    ``gaps[i]`` is |lambda_i - sum of the multiset's eigenvalues|; raises
-    ResonanceFoundError at the first resonance.
+    Each row's eigenvalues are summed along the contiguous axis, as a 1-d
+    sum of the same values would be, so every gap is bitwise the one of
+    ``np.abs(ev - ev[list(combo)].sum())``.
+    """
+    return np.abs(ev - ev[rows].sum(axis=1)[:, None])
+
+
+def _nonresonant_gap(ev: np.ndarray, top: int) -> float:
+    """Smallest |lambda_i - sum over a multiset| / (order - 1) over the orders 2..top.
+
+    The multisets of each order come block by block from
+    :func:`multiset_rows`, so the gaps held at once are bounded.  Raises
+    ResonanceFoundError at the first resonant multiset in order and table
+    order, naming the eigenvalue nearest its sum.
     """
     tol = RESONANCE_RTOL * max(_scale(ev), 1e-300)
+    gap = np.inf
     for total in range(2, top + 1):
-        for combo in combinations_with_replacement(range(ev.size), total):
-            gaps = np.abs(ev - ev[list(combo)].sum())
-            if np.any(gaps <= tol):
-                i = int(np.argmin(gaps))
+        for rows in multiset_rows(ev.size, total):
+            gaps = _multiset_gaps(ev, rows)
+            least = float(gaps.min())
+            if least <= tol:
+                first = np.argmax(np.any(gaps <= tol, axis=1))
+                i = int(np.argmin(gaps[first]))
                 raise ResonanceFoundError(f"resonance at eigenvalue index {i}")
-            yield total, gaps
+            gap = min(gap, least / (total - 1))
+    return gap
 
 
 def classify_domain(status: HullStatus) -> str:
@@ -106,15 +128,16 @@ def delta_gap_poincare(lams) -> float:
     the returned value certifies the full infimum, not just the orders
     enumerated.
 
-    The hull test multiplies coordinate differences, up to 8 scale^2, and
-    the enumeration sums up to :data:`_DELTA1_HARD_CAP` eigenvalues.  Where
-    these would overflow, both run on the eigenvalues scaled by the power
-    of two of :func:`_overflow_unit` and the gap is scaled back; otherwise
-    the eigenvalues are used as given.
+    Both the hull test, whose slacks are absolute, and the enumeration,
+    which sums up to :data:`_DELTA1_HARD_CAP` eigenvalues, run on the
+    eigenvalues scaled by the power of two of :func:`_overflow_unit`,
+    which puts their largest part in [1/2, 1): the slacks then act
+    relative to the spectrum's scale, so a small spectrum keeps its gap,
+    and no sum overflows.  The gap is scaled back; a power of two rounds
+    nothing above the subnormal range.
     """
     ev = as_cvector(lams)
-    scale = _scale(ev)
-    unit = 1.0 if math.isfinite(8.0 * scale * scale) else _overflow_unit(ev)
+    unit = _overflow_unit(ev)
     ev = ev * unit
     status = origin_hull_status(ev)
     if classify_domain(status) != POINCARE:
@@ -127,11 +150,7 @@ def delta_gap_poincare(lams) -> float:
     top = max(k0 - 1, GAP_MIN_ORDER)
     if top > _DELTA1_HARD_CAP:
         raise CapExceededError(f"gap enumeration needs order {top} > {_DELTA1_HARD_CAP}")
-    delta1 = min(
-        (float(gaps.min()) / (total - 1) for total, gaps in _nonresonant_gaps(ev, top)),
-        default=np.inf,
-    )
-    return min(float(delta0), float(delta1)) / unit
+    return min(float(delta0), _nonresonant_gap(ev, top)) / unit
 
 
 def level_sums(lams, j: int) -> np.ndarray:
@@ -315,12 +334,17 @@ class CarlemanDiagonalization:
     The scale's terms are entries of A~ (F2~ is A~_(1,2); at k = 1 every R
     is zero), so scale <= ||A~||_2; with ||.||_2 <= ||.||_F, each residual
     bounds ||A~ V - V D||_2 / ||A~||_2, resp. ||V W - I||_2, from above.
+
+    ``sparsity`` and ``f2_tilde_norm`` are the column sparsity and 2-norm
+    of F2~, carried from the system's :class:`Spectrum`.
     """
 
     k: int
     n: int
     eigenvalues: np.ndarray
     f2_tilde: np.ndarray
+    sparsity: int
+    f2_tilde_norm: float
     v_blocks: dict
     vinv_blocks: dict
     residual: float
@@ -395,6 +419,8 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
         n=sys.n,
         eigenvalues=lams,
         f2_tilde=f2t,
+        sparsity=spec.sparsity,
+        f2_tilde_norm=spec.f2_tilde_norm,
         v_blocks=v_blocks,
         vinv_blocks=vinv_blocks,
         residual=residual,
@@ -438,9 +464,8 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
     would return.  Every other block, and any block holding a NaN, takes
     its own.
     """
-    s = column_sparsity(diag.f2_tilde)
-    f2n = float(np.linalg.norm(diag.f2_tilde, 2))
-    base = None if delta is None else 4.0 * s * f2n / delta
+    s = diag.sparsity
+    base = None if delta is None else 4.0 * s * diag.f2_tilde_norm / delta
     rows = []
     all_ok = True
     for i in range(1, diag.k + 1):

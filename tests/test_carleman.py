@@ -507,6 +507,7 @@ class TestSymmetricLift:
             raise AssertionError("allocated before the cap check")
 
         monkeypatch.setattr(carleman, "_multisets", refuse)
+        monkeypatch.setattr(carleman, "multiset_rows", refuse)
         with pytest.raises(DimensionCapError) as err:
             build_symmetric_lift(sys, 4, cap=100)
         assert err.value.required == total_dimension(3, 4)

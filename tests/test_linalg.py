@@ -361,3 +361,37 @@ class TestHermitianShortcut:
         )
         with pytest.raises(NotPositiveDefiniteError, match="not Hermitian"):
             linalg._pd_sqrt_factors(p)
+
+
+class TestMultisetRows:
+    @staticmethod
+    def by_itertools(n, j):
+        from itertools import combinations_with_replacement
+
+        return np.array(list(combinations_with_replacement(range(n), j)), dtype=np.int64)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_rows_are_combinations_with_replacement(self, n, j):
+        blocks = list(linalg.multiset_rows(n, j))
+        assert len(blocks) == 1 and blocks[0].dtype == np.int64
+        assert np.array_equal(blocks[0], self.by_itertools(n, j))
+
+    def test_blocks_hold_at_most_the_block_rows(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MULTISET_BLOCK_ROWS", 7)
+        for n, j in [(3, 4), (4, 3), (2, 6), (5, 5)]:
+            blocks = list(linalg.multiset_rows(n, j))
+            # C(n+j-1, j) rows in full blocks of 7 and one remainder
+            assert [len(b) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= 7
+            assert np.array_equal(np.concatenate(blocks), self.by_itertools(n, j))
+
+    def test_lift_tables_join_the_blocks(self, monkeypatch):
+        from carleman_lab import carleman
+
+        build = carleman._multisets.__wrapped__
+        monkeypatch.setattr(linalg, "MULTISET_BLOCK_ROWS", 5)
+        for n, j in [(1, 4), (2, 7), (3, 6), (4, 5)]:
+            for table in (carleman._multisets(n, j), build(n, j)):
+                assert table.dtype == np.int64 and not table.flags.writeable
+                assert np.array_equal(table, self.by_itertools(n, j))

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from carleman_lab import carleman, nonresonant
+from carleman_lab import carleman, linalg, nonresonant
 from carleman_lab.carleman import assemble_dense, build_blocks
 from carleman_lab.cli import main as cli_main
 from carleman_lab.errors import (
@@ -25,14 +26,15 @@ from carleman_lab.nonresonant import (
     build_v_blocks,
     build_vinv_blocks,
     _blockwise_residuals,
-    _nonresonant_gaps,
+    _multiset_gaps,
+    _nonresonant_gap,
+    _overflow_unit,
     _shift_apply,
     _shift_block,
     certify_oscillating,
     certify_poincare,
     certify_siegel_split,
     classify_domain,
-    column_sparsity,
     delta_gap_poincare,
     diagonalize_carleman,
     find_siegel_split,
@@ -42,7 +44,7 @@ from carleman_lab.nonresonant import (
     shift_oscillating_f2,
 )
 from carleman_lab.jsonio import system_from_json, system_to_json
-from carleman_lab.linalg import origin_hull_status
+from carleman_lab.linalg import column_sparsity, multiset_rows, origin_hull_status
 from carleman_lab.carleman import integrate_nonautonomous
 from carleman_lab.system import QuadraticSystem, integrate_reference
 from forest_oracle import (
@@ -54,6 +56,7 @@ from forest_oracle import (
     strictly_upper,
     with_identities,
 )
+from gap_oracle import gap_by_loop, nonresonant_gaps_by_loop
 
 
 def benchmark_diagonalize_systems(bench, seed):
@@ -80,15 +83,123 @@ class TestResonance:
             delta_gap_poincare([-1.0, -2.0])
 
     def test_incommensurate_pair_clean(self):
-        rows = list(_nonresonant_gaps(np.array([-1.0, -np.pi], dtype=complex), 8))
+        ev = np.array([-1.0, -np.pi], dtype=complex)
+        tables = [np.concatenate(list(multiset_rows(2, m))) for m in range(2, 9)]
         # one row per multiset: order m has m + 1 of them for two eigenvalues
-        assert [total for total, _ in rows] == [m for m in range(2, 9) for _ in range(m + 1)]
-        assert all(np.all(gaps > 0) for _, gaps in rows)
+        assert [len(rows) for rows in tables] == [m + 1 for m in range(2, 9)]
+        assert all(np.all(_multiset_gaps(ev, rows) > 0) for rows in tables)
+        assert _nonresonant_gap(ev, 8) == gap_by_loop(ev, 8) > 0
 
     def test_marginal_pair_resonant(self):
         # i = 2i + (-i) at order three
         with pytest.raises(ResonanceFoundError):
-            list(_nonresonant_gaps(np.array([1j, -1j]), 4))
+            _nonresonant_gap(np.array([1j, -1j]), 4)
+
+
+def seeded_spectrum(bench, seed, n):
+    """Eigenvalues of the benchmark's random Poincare-domain system of dimension n."""
+    f0, f1, f2, _x0 = bench.poincare_system(np.random.default_rng([seed, n]), n)
+    return QuadraticSystem(f0=f0, f1=f1, f2=f2).spectrum.dec.eigenvalues
+
+
+def resonance_message(gap, ev, top) -> str:
+    with pytest.raises(ResonanceFoundError) as info:
+        gap(ev, top)
+    return str(info.value)
+
+
+class TestGapAgainstLoop:
+    """The blockwise gap against the per-multiset loop it replaced (``gap_oracle``)."""
+
+    # real parts -1 and -9.3: the separating bound needs order 11, so the
+    # enumeration runs to order 10
+    WIDE = np.array([-1.0, -9.3 + 0.4j, -4.1 - 0.2j])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_order_gaps_and_delta_are_the_loops(self, monkeypatch, bench_workloads, n):
+        for seed in (0, 1):
+            ev = seeded_spectrum(bench_workloads, seed, n)
+            ev = ev * _overflow_unit(ev)  # as delta_gap_poincare hands them on
+            loop = list(nonresonant_gaps_by_loop(ev, 6))
+            for total in range(2, 7):
+                want = np.array([gaps for order, gaps in loop if order == total])
+                got = _multiset_gaps(ev, np.concatenate(list(multiset_rows(n, total))))
+                assert got.tobytes() == want.tobytes(), (seed, total)
+            assert _nonresonant_gap(ev, 6) == gap_by_loop(ev, 6)
+            delta = delta_gap_poincare(ev)
+            monkeypatch.setattr(nonresonant, "_nonresonant_gap", gap_by_loop)
+            assert delta_gap_poincare(ev) == delta
+            monkeypatch.undo()
+
+    def test_high_order_gaps_are_the_loops(self, monkeypatch):
+        ev = self.WIDE * _overflow_unit(self.WIDE)
+        for total in range(2, 13):
+            want = np.array([g for order, g in nonresonant_gaps_by_loop(ev, 12) if order == total])
+            got = _multiset_gaps(ev, np.concatenate(list(multiset_rows(3, total))))
+            assert got.tobytes() == want.tobytes(), total
+        delta = delta_gap_poincare(self.WIDE)
+        tops = []
+
+        def loop(ev, top):
+            tops.append(top)
+            return gap_by_loop(ev, top)
+
+        monkeypatch.setattr(nonresonant, "_nonresonant_gap", loop)
+        assert delta_gap_poincare(self.WIDE) == delta
+        assert tops == [10]
+
+    @pytest.mark.parametrize("total", [8, 9, 128, 129, 200])
+    def test_long_multiset_sums_are_the_loops(self, total):
+        # numpy sums more than 8 terms in unrolled lanes and splits past 128
+        ev = np.array([-0.5 + 0.1j, -0.83 - 0.2j])
+        want = np.array([g for order, g in nonresonant_gaps_by_loop(ev, total) if order == total])
+        got = _multiset_gaps(ev, np.concatenate(list(multiset_rows(2, total))))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "lams,expected",
+        [
+            ([-1.0, -2.0], 1),  # order 2: 2 lambda_0 = lambda_1
+            ([-3.0, -1.0], 0),  # order 3: 3 lambda_1 = lambda_0
+            ([-1.0, -1.45 + 0.3j, -3.9 + 0.6j], 2),  # order 3: lambda_0 + 2 lambda_1
+        ],
+    )
+    def test_resonance_messages_are_the_loops(self, lams, expected):
+        ev = np.asarray(lams, dtype=complex)
+        message = f"resonance at eigenvalue index {expected}"
+        assert resonance_message(_nonresonant_gap, ev, 6) == message
+        assert resonance_message(gap_by_loop, ev, 6) == message
+        with pytest.raises(ResonanceFoundError, match=f"^{message}$"):
+            delta_gap_poincare(lams)
+
+    def test_resonance_in_a_later_block(self, monkeypatch):
+        # the resonant multiset (0, 1, 1) is row 3 of order 3, in its second block of two
+        ev = np.array([-1.0, -1.45 + 0.3j, -3.9 + 0.6j])
+        monkeypatch.setattr(linalg, "MULTISET_BLOCK_ROWS", 2)
+        blocks = list(multiset_rows(3, 3))
+        assert [len(b) for b in blocks] == [2] * 5
+        assert blocks[1][1].tolist() == [0, 1, 1]
+        message = resonance_message(gap_by_loop, ev, 6)
+        assert resonance_message(_nonresonant_gap, ev, 6) == message
+        assert message == "resonance at eigenvalue index 2"
+
+    def test_block_size_leaves_the_gap_unchanged(self, monkeypatch, bench_workloads):
+        ev = seeded_spectrum(bench_workloads, 0, 5)
+        delta = delta_gap_poincare(ev)
+        monkeypatch.setattr(linalg, "MULTISET_BLOCK_ROWS", 7)
+        assert delta_gap_poincare(ev) == delta
+
+    def test_large_gap_memory_is_bounded(self, bench_workloads):
+        # unchunked, the order-6 gaps alone are 177 100 x 20 complex entries (57 MB)
+        ev = seeded_spectrum(bench_workloads, 0, 20)
+        tracemalloc.start()
+        try:
+            delta = delta_gap_poincare(ev)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta > 0
+        assert peak < 32 * 2**20
 
 
 class TestClassifyDomain:
@@ -241,6 +352,48 @@ class TestOverflowSafeLevelSums:
         assert code == 0
         # the gap of diag(-1, -0.7), 0.4 at order 2, scaled back
         assert json.loads(out.read_text())["delta"] == pytest.approx(0.4e308, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_gap_of_tiny_benchmark_spectra_scales_exactly(self, bench_workloads, seed):
+        for sys, _k in benchmark_diagonalize_systems(bench_workloads, seed):
+            ev = sys.spectrum.dec.eigenvalues
+            for e in (-100, -600, -1000):
+                assert delta_gap_poincare(ev * 2.0**e) == 2.0**e * delta_gap_poincare(ev)
+
+    @pytest.mark.parametrize("e", [-100, -300, -500, -800, -1000])
+    def test_small_spectrum_keeps_its_gap(self, e):
+        # the hull test's slacks are absolute 1e-12; the unit lifts them to scale
+        lams = np.array([-1.0, -0.7])
+        assert delta_gap_poincare(lams * 2.0**e) == 2.0**e * delta_gap_poincare(lams)
+        assert delta_gap_poincare(lams * 2.0**e) == pytest.approx(0.4 * 2.0**e, rel=1e-12)
+
+    def test_small_system_diagonalize_reports_gap_and_bounds(self, tmp_path):
+        unit = 2.0**-100
+        f2 = unit * np.array([[0.01, 0.05, 0.02, 0.1], [0.03, 0.04, 0.06, 0.08]])
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(system_to_json(
+            QuadraticSystem(f0=np.zeros(2), f1=unit * np.diag([-1.0, -0.7]), f2=f2)
+        ))
+        out = tmp_path / "d.json"
+        code = cli_main(["diagonalize", "--system", str(sys_path), "--x0", "0.1,0.1",
+                         "--k", "3", "--out", str(out)])
+        assert code == 0
+        dump = json.loads(out.read_text())
+        assert dump["delta"] == pytest.approx(0.4 * unit, rel=1e-12)
+        bounds = [b["bound"] for family in ("blocks", "inverse_blocks")
+                  for b in dump[family].values()]
+        assert len(bounds) == 12 and all(b is not None for b in bounds)
+
+    @pytest.mark.parametrize("scale", [5e-11, 1e-13])
+    def test_small_spectrum_keeps_its_sign_check(self, scale):
+        # a positive real part far below 1e-10 is still positive at this scale
+        f2 = 1e-30 * np.ones((2, 4))
+        unstable = QuadraticSystem(f0=np.zeros(2), f1=scale * np.diag([1.0, 0.7]), f2=f2)
+        cert = certify_poincare(unstable, [0.1, 0.1])
+        assert not cert.certified and cert.reason == "some eigenvalue has positive real part"
+        stable = QuadraticSystem(f0=np.zeros(2), f1=-scale * np.diag([1.0, 0.7]), f2=f2)
+        cert = certify_poincare(stable, [0.1, 0.1])
+        assert cert.certified and cert.delta == pytest.approx(0.4 * scale, rel=1e-12)
 
     def test_residual_of_tiny_spectrum_is_the_unit_one(self):
         # unscaled, residual entries near 1e-317 square to zero in the norm
@@ -766,6 +919,13 @@ class TestNormBounds:
         diag = diagonalize_carleman(sys, 5)
         report = norm_bounds_check(diag, delta_gap_poincare(diag.eigenvalues))
         assert report["all_ok"]
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_carried_context_is_the_recomputed_one(self, bench_workloads, seed):
+        for sys, k in benchmark_diagonalize_systems(bench_workloads, seed):
+            diag = diagonalize_carleman(sys, k)
+            assert diag.sparsity == column_sparsity(diag.f2_tilde)
+            assert diag.f2_tilde_norm == np.linalg.norm(diag.f2_tilde, 2)
 
 
 class TestBlockNorm:

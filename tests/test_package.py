@@ -6,6 +6,10 @@ the n >= 3 witness search of ``certify`` and ``scan``
 (``scipy.optimize``).  A fresh interpreter is needed, since pytest has
 already imported both.
 
+One module enumerates index multisets: ``linalg.multiset_rows`` is the
+only place the package names ``combinations_with_replacement``, and both
+the lift's multiset coordinates and the no-resonance gap read it.
+
 Every public top-level function or class of the package is reached: some
 other top-level statement of the package, a demo, the benchmark or the
 acceptance suite names it.  A definition that only its own unit tests
@@ -181,3 +185,12 @@ def test_every_public_definition_is_reached():
         ]
     ]
     assert unreached_definitions(modules, readers) == ORACLES
+
+
+def test_one_module_enumerates_multisets():
+    naming = [
+        p.stem
+        for p in sorted(PACKAGE.glob("*.py"))
+        if "combinations_with_replacement" in names_read(ast.parse(p.read_text()))
+    ]
+    assert naming == ["linalg"]
