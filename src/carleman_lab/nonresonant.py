@@ -32,6 +32,7 @@ from .errors import (
     CapExceededError,
     DriveNotSupportedError,
     FrequencyTooSmallError,
+    MatrixOverflowError,
     NonDiagonalizableError,
     NonFiniteStateError,
     NotPoincareError,
@@ -47,12 +48,11 @@ from .system import QuadraticSystem, Spectrum
 
 RESONANCE_RTOL = 1e-10
 DENOMINATOR_RTOL = 1e-12
-# the no-resonance gap enumerates every order up to at least this one
+# the no-resonance gap enumerates every order up to at least this one,
+# and refuses more orders, or more multisets (about 35 s), than these
 GAP_MIN_ORDER = 6
 _DELTA1_HARD_CAP = 200
-# below this scale, residual entries of about 2^-60 relative to it would
-# square into the subnormal range, where the Frobenius norm loses them
-_TINY_RESIDUAL_SCALE = 2.0**-450
+GAP_MAX_MULTISETS = 5 * 10**7
 
 POINCARE = "poincare"
 SIEGEL = "siegel"
@@ -128,13 +128,11 @@ def delta_gap_poincare(lams) -> float:
     the returned value certifies the full infimum, not just the orders
     enumerated.
 
-    Both the hull test, whose slacks are absolute, and the enumeration,
-    which sums up to :data:`_DELTA1_HARD_CAP` eigenvalues, run on the
-    eigenvalues scaled by the power of two of :func:`_overflow_unit`,
-    which puts their largest part in [1/2, 1): the slacks then act
-    relative to the spectrum's scale, so a small spectrum keeps its gap,
-    and no sum overflows.  The gap is scaled back; a power of two rounds
-    nothing above the subnormal range.
+    Both run on the eigenvalues scaled by :func:`_overflow_unit`, so the
+    hull test's absolute slacks act relative to the spectrum's scale and
+    no sum overflows; the gap is scaled back.  An enumeration past order
+    :data:`_DELTA1_HARD_CAP` or :data:`GAP_MAX_MULTISETS` multisets
+    raises CapExceededError before any multiset is formed.
     """
     ev = as_cvector(lams)
     unit = _overflow_unit(ev)
@@ -150,6 +148,11 @@ def delta_gap_poincare(lams) -> float:
     top = max(k0 - 1, GAP_MIN_ORDER)
     if top > _DELTA1_HARD_CAP:
         raise CapExceededError(f"gap enumeration needs order {top} > {_DELTA1_HARD_CAP}")
+    count = sum(comb(ev.size + m - 1, m) for m in range(2, top + 1))
+    if count > GAP_MAX_MULTISETS:
+        raise CapExceededError(
+            f"gap enumeration needs {count} multisets > {GAP_MAX_MULTISETS}"
+        )
     return min(float(delta0), _nonresonant_gap(ev, top)) / unit
 
 
@@ -162,39 +165,34 @@ def level_sums(lams, j: int) -> np.ndarray:
     return out
 
 
-def _overflow_unit(*arrays: np.ndarray) -> float:
-    """The power of two 2^-e that brings every real and imaginary part of the arrays below 1.
+def _overflow_unit(ev: np.ndarray) -> float:
+    """The power of two that puts the largest real or imaginary part of ``ev`` in [1/2, 1).
 
-    Sums of l such entries then have parts below l, so neither they nor
-    their moduli overflow, and the scaling rounds nothing above the
-    subnormal range.  The unit is capped at 2^1023, so arrays whose
-    largest part is subnormal still get a finite one.
+    It is capped at 2^1023, so a subnormal largest part still gets a
+    finite unit.  A power of two rounds nothing above the subnormal range.
     """
-    top = max(float(np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))) for a in arrays)
+    top = float(np.max(np.maximum(np.abs(ev.real), np.abs(ev.imag))))
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
-def build_nl(lams, l: int) -> np.ndarray:
-    """Reciprocal-combination matrix with entries 1/(sum of l eigenvalues - lambda_i).
+def _normalized(lams, f2_tilde) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and F2~, both multiplied by :func:`_overflow_unit` of the eigenvalues.
 
-    Where a denominator or its modulus overflows, the eigenvalues are
-    divided by the power of two of :func:`_overflow_unit` first and the
-    reciprocals scaled back; finite denominators are formed unscaled, so
-    their results stay bitwise.
+    V, V^{-1} and the similarity residual depend only on the ratio of F2~
+    to the eigenvalues, so on these arrays they come out bitwise as on
+    the given ones, while no level sum overflows and no subnormal
+    denominator is formed.
     """
     ev = as_cvector(lams)
+    unit = _overflow_unit(ev)
+    return ev * unit, np.asarray(f2_tilde, dtype=complex) * unit
 
-    def denominators(ev):
-        den = level_sums(ev, l)[None, :] - ev[:, None]
-        return den, np.abs(den), _scale(ev)
 
-    unit = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        den, size, scale = denominators(ev)
-    if not (math.isfinite(scale) and np.all(np.isfinite(size))):
-        unit = _overflow_unit(ev)
-        den, size, scale = denominators(ev * unit)
-    bad = size <= DENOMINATOR_RTOL * max(scale, 1e-300)
+def build_nl(lams, l: int) -> np.ndarray:
+    """Reciprocal-combination matrix with entries 1/(sum of l eigenvalues - lambda_i)."""
+    ev = as_cvector(lams)
+    den = level_sums(ev, l)[None, :] - ev[:, None]
+    bad = np.abs(den) <= DENOMINATOR_RTOL * max(_scale(ev), 1e-300)
     if np.any(bad):
         i, col = np.argwhere(bad)[0]
         combo = tuple(
@@ -204,7 +202,7 @@ def build_nl(lams, l: int) -> np.ndarray:
             f"denominator vanishes for eigenvalue {int(i)} against tuple {combo}",
             offending=(int(i), combo),
         )
-    return unit / den
+    return 1.0 / den
 
 
 def _map_blocks(n: int, k: int, first_row) -> dict:
@@ -255,10 +253,10 @@ def build_v_blocks(lams, f2_tilde, k: int) -> dict:
     every diagonal block is the identity, which is not stored.  Its first
     row W_j = N_j o (F2~ V_(2,j)) sums the tree weights by root split,
     since V_(2,j) = sum_a W_(j-a) (x) W_a (V_(2,2) = I).  The family is
-    independent of the truncation order beyond j.
+    independent of the truncation order beyond j.  It is built from
+    :func:`_normalized` eigenvalues and F2~.
     """
-    ev = as_cvector(lams)
-    f2t = np.asarray(f2_tilde, dtype=complex)
+    ev, f2t = _normalized(lams, f2_tilde)
     return _map_blocks(ev.size, k, lambda j, v: build_nl(ev, j) * (f2t @ v(2, j)))
 
 
@@ -302,9 +300,10 @@ def build_vinv_blocks(lams, f2_tilde, k: int) -> dict:
     W_(1,j) = -N_j o (W_(1,j-1) A~_(j-1,j)) (W_(1,1) = I): one product per
     block, with no cancelling sum and no V.  The other blocks follow from
     it as V's do from its first row (:func:`_map_blocks`); the diagonal
-    blocks are identities and are not stored.
+    blocks are identities and are not stored.  It is built from
+    :func:`_normalized` eigenvalues and F2~.
     """
-    ev, f2t = as_cvector(lams), np.asarray(f2_tilde, dtype=complex)
+    ev, f2t = _normalized(lams, f2_tilde)
 
     def first_row(j: int, w) -> np.ndarray:
         return -build_nl(ev, j) * _shift_apply(f2t.T, w(1, j - 1).T, ev.size, j - 1).T
@@ -378,21 +377,10 @@ def _blockwise_residuals(lams, f2t, v: dict, w: dict, k: int) -> tuple[float, fl
     dense block A~_(j-1,j) (:func:`_shift_block`), the product with I,
     and E_(i,j) = W_(i,j) + sum_{i<m<j} V_(i,m) W_(m,j) + V_(i,j): the
     full sum, in its order, less the exact products with I, so both
-    residuals equal the full products' bitwise.  V depends only on the
-    ratio of F2~ to the eigenvalues, so ``residual`` does not change when
-    both are scaled by one power of two.  It is formed from those scaled
-    by :func:`_overflow_unit` where a level sum, its scale or a norm
-    overflows, and where the eigenvalues and F2~ lie below
-    :data:`_TINY_RESIDUAL_SCALE`; otherwise it is formed unscaled.
+    residuals equal the full products' bitwise.  ``residual`` is formed
+    on :func:`_normalized` eigenvalues and F2~.
     """
-    unit = 1.0
-    if max(_scale(lams), _scale(f2t)) < _TINY_RESIDUAL_SCALE:
-        unit = _overflow_unit(lams, f2t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = _similarity_residual(lams * unit, f2t * unit, v, k)
-    if not math.isfinite(residual):
-        unit = _overflow_unit(lams, f2t)
-        residual = _similarity_residual(lams * unit, f2t * unit, v, k)
+    residual = _similarity_residual(*_normalized(lams, f2t), v, k)
     inverse = []
     for i in range(1, k + 1):
         inverse.append(0.0)
@@ -410,6 +398,8 @@ def diagonalize_carleman(sys: QuadraticSystem, k: int) -> CarlemanDiagonalizatio
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     check_cap(sum(sys.n**j for j in range(1, k + 1)))
+    if not math.isfinite(spec.f2_tilde_norm):
+        raise MatrixOverflowError("F2~ = Q^-1 F2 (Q (x) Q) is not finite")
     lams, f2t = spec.dec.eigenvalues, spec.f2_tilde
     v_blocks = build_v_blocks(lams, f2t, k)
     vinv_blocks = build_vinv_blocks(lams, f2t, k)

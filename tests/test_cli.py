@@ -382,6 +382,23 @@ class TestDiagonalize:
         )
         assert code == 4
 
+    def test_non_finite_f2_tilde_is_a_numerical_failure(self, tmp_path, capsys):
+        # Q^-1 F2 (Q (x) Q) overflows to NaN; V and V^-1 are not built from it
+        sys_file = tmp_path / "sys.json"
+        sysd = QuadraticSystem(
+            f0=np.zeros(2), f1=[[-1.0, 0.9], [0.0, -0.7]], f2=np.full((2, 4), 1e308)
+        )
+        sys_file.write_text(system_to_json(sysd))
+        out = tmp_path / "diag.json"
+        argv = ["diagonalize", "--system", str(sys_file), "--x0", "0.1,0.1", "--k", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow forming F2~
+            code = run([*argv, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: F2~ = Q^-1 F2 (Q (x) Q) is not finite\n"
+        )
+        assert not out.exists()
 
     def test_allow_large_keeps_the_default_cap(self, tmp_path, capsys, monkeypatch):
         from carleman_lab.cli import EXIT_INPUT

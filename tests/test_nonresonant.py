@@ -11,6 +11,7 @@ from carleman_lab import carleman, linalg, nonresonant
 from carleman_lab.carleman import assemble_dense, build_blocks
 from carleman_lab.cli import main as cli_main
 from carleman_lab.errors import (
+    CapExceededError,
     DimensionCapError,
     NotPoincareError,
     ResonanceFoundError,
@@ -57,6 +58,10 @@ from forest_oracle import (
     with_identities,
 )
 from gap_oracle import gap_by_loop, nonresonant_gaps_by_loop
+
+# the module forms no value under np.errstate, so any overflow or invalid
+# operation in it shows as a RuntimeWarning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def benchmark_diagonalize_systems(bench, seed):
@@ -270,6 +275,50 @@ class TestDeltaGap:
         with pytest.raises(ResonanceFoundError):
             delta_gap_poincare([-1.0, -2.0])
 
+    @staticmethod
+    def wide_spectrum(n):
+        # real parts from -1 to -19 take the enumeration to order 19
+        return -np.linspace(1.0, 19.0, n) + 0.01j
+
+    @staticmethod
+    def refuse_enumeration(monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("multisets enumerated before the count cap")
+
+        monkeypatch.setattr(nonresonant, "multiset_rows", unreachable)
+
+    def test_multiset_count_refused_before_enumerating(self, monkeypatch):
+        count = sum(math.comb(10 + m - 1, m) for m in range(2, 20))
+        assert 2.0e7 < count <= nonresonant.GAP_MAX_MULTISETS
+        monkeypatch.setattr(nonresonant, "GAP_MAX_MULTISETS", count - 1)
+        self.refuse_enumeration(monkeypatch)
+        with pytest.raises(CapExceededError, match=f"needs {count} multisets > {count - 1}"):
+            delta_gap_poincare(self.wide_spectrum(10))
+
+    def test_wide_spectrum_of_twenty_refused_at_once(self, monkeypatch):
+        count = sum(math.comb(20 + m - 1, m) for m in range(2, 20))
+        assert count > 6.8e10
+        self.refuse_enumeration(monkeypatch)
+        with pytest.raises(CapExceededError, match=f"needs {count} multisets"):
+            delta_gap_poincare(self.wide_spectrum(20))
+
+    def test_count_cap_drops_gap_and_bounds_from_diagonalize(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nonresonant, "GAP_MAX_MULTISETS", 0)
+        out = tmp_path / "d.json"
+        argv = ["diagonalize", "--fixture", "scalar", "--param", "a=-1", "--param", "b=0.5"]
+        assert cli_main([*argv, "--k", "3", "--out", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        assert "delta" not in dump and "sparsity" not in dump
+        bounds = [b["bound"] for family in ("blocks", "inverse_blocks")
+                  for b in dump[family].values()]
+        assert len(bounds) == 12 and all(b is None for b in bounds)
+
+    def test_count_cap_is_an_input_error_of_certify(self, capsys, monkeypatch):
+        monkeypatch.setattr(nonresonant, "GAP_MAX_MULTISETS", 0)
+        argv = ["certify", "--fixture", "scalar", "--param", "a=-1", "--param", "b=0.5"]
+        assert cli_main([*argv, "--all"]) == 1
+        assert "input error: gap enumeration needs 5 multisets > 0" in capsys.readouterr().err
+
 
 class TestBuildNl:
     def test_scalar_entries(self):
@@ -295,7 +344,7 @@ class TestBuildNl:
 
 
 class TestOverflowSafeLevelSums:
-    """Level sums past the largest double are formed on eigenvalues scaled by a power of two."""
+    """V, V^-1 and the residuals are formed on eigenvalues and F2~ scaled by one power of two."""
 
     def test_finite_denominators_are_formed_unscaled(self):
         rng = np.random.default_rng(3)
@@ -304,17 +353,54 @@ class TestOverflowSafeLevelSums:
             want = 1.0 / (level_sums(lams, l)[None, :] - lams[:, None])
             assert build_nl(lams, l).tobytes() == want.tobytes()
 
-    def test_overflowing_sums_give_their_reciprocals(self):
-        c = 2.0**1023
-        lams = np.array([-c, -0.75 * c, 0.5j * c])
+    @staticmethod
+    def transforms(lams, f2t, k):
+        v, w = build_v_blocks(lams, f2t, k), build_vinv_blocks(lams, f2t, k)
+        return v, w, _blockwise_residuals(lams, f2t, v, w, k)
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        (v, w, residuals), (v0, w0, residuals0) = got, want
+        assert residuals == residuals0
+        for blocks, blocks0 in ((v, v0), (w, w0)):
+            assert list(blocks) == list(blocks0)
+            assert all(blocks[key].tobytes() == blocks0[key].tobytes() for key in blocks0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_scaled_benchmark_transforms_are_bitwise(self, bench_workloads, seed):
+        # V, V^-1 and the residual depend only on F2~ / lambda.  At 2^-1000
+        # the roundoff-level entries of F2~ (about 1e-19) turn subnormal and
+        # lose bits, so the scaled inputs are compared with their own values
+        # scaled back, which are the unscaled ones wherever nothing is lost
+        for sys, k in benchmark_diagonalize_systems(bench_workloads, seed):
+            lams, f2t = sys.spectrum.dec.eigenvalues, sys.spectrum.f2_tilde
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for e in (-1000, -600, 600, 1000):
+                    unit = 2.0**e
+                    scaled = (lams * unit, f2t * unit)
+                    held = [a / unit for a in scaled]
+                    if e != -1000:
+                        assert all(map(np.array_equal, held, (lams, f2t)))
+                    self.assert_bitwise(
+                        self.transforms(*scaled, k), self.transforms(*held, k)
+                    )
+
+    def test_subnormal_spectrum_builds(self):
+        # lambda and F2~ at 2^-1040 are subnormal: they keep about 34 and
+        # 27 bits, and the transforms are those of the quantized inputs
+        lams = np.array([-1.0, -0.7])
+        f2t = np.array([[0.1, 0.02, 0.03, 0.2], [0.01, 0.2, 0.05, 0.01]])
+        k, unit = 4, 2.0**-1040
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for l in (2, 3):
-                nl = build_nl(lams, l)
-                # the same sums on eigenvalues / 8 do not overflow
-                want = build_nl(lams / 8, l) / 8
-                assert np.all(nl != 0)
-                assert np.allclose(nl, want, rtol=1e-14, atol=0)
+            tiny = self.transforms(lams * unit, f2t * unit, k)
+            self.assert_bitwise(
+                tiny, self.transforms(lams * unit / unit, f2t * unit / unit, k)
+            )
+            v, _w, _residuals = self.transforms(lams, f2t, k)
+        for key, block in v.items():
+            assert np.allclose(tiny[0][key], block, rtol=1e-6, atol=0)
 
     def test_resonance_past_the_largest_double_exits_4(self, tmp_path):
         # eigenvalues +-sqrt(2) 1e308 resonate at order 3: c + c - c = c
