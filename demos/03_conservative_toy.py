@@ -17,7 +17,7 @@ Run:  python3 demos/03_conservative_toy.py
 import numpy as np
 
 from carleman_lab.carleman import error_profile
-from carleman_lab.conservative import certify_conservative, conservative_error_bound
+from carleman_lab.conservative import certify_conservative
 from carleman_lab.fixtures import conservative_toy, reduced_conservative_rp
 from carleman_lab.system import rescale
 
@@ -51,12 +51,11 @@ def main():
     fx = conservative_toy(a=0.01, b=0.01, x1=0.5, x2=0.0)
     cert = certify_conservative(fx.system, fx.x0, horizon=20.0)
     resc = rescale(fx.system, cert.gamma)
-    prof = error_profile(
-        resc, cert.gamma * fx.x0, 6, np.array([0.0, 1.0, 2.0, 5.0]), tol=1e-12
-    )
+    times = np.array([0.0, 1.0, 2.0, 5.0])
+    prof = error_profile(resc, cert.gamma * fx.x0, 6, times, tol=1e-12)
     for j in (1, 3, 6):
         measured = prof.block_norms[:, j - 1].max()
-        bound = conservative_error_bound(cert, j, 6)
+        bound = cert.error_bound(j, 6, times[-1])
         print(f"  block {j}:  measured {measured:.3e}  <=  bound {bound:.3e}")
 
 

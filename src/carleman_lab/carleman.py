@@ -478,9 +478,7 @@ def integrate_lift(cm: CarlemanMatrix, y0, times, cap: int | None = None) -> Tra
         raise DimensionMismatchError(
             f"lift state dim {v0.size}, expected {cm.total_dim}"
         )
-    t = np.asarray(times, dtype=float)
-    if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ValueError("times must be strictly increasing and start at 0")
+    t = _sample_times(times)
     check_cap(cm.total_dim, cap)
     expm = _expm_action(*_shifted_augmented(cm))
     states = np.empty((t.size, cm.total_dim), dtype=complex)
@@ -596,7 +594,7 @@ def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
     """
     t = _sample_times(times)
     if t.size == 1:
-        return Trajectory(t, v0[None, :].copy(), rel_tol)
+        return Trajectory(t, v0[None, :].copy())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rtol clamping near eps is fine
         sol = solve_ivp(
@@ -615,7 +613,7 @@ def _dormand_prince(f, v0: np.ndarray, times, rel_tol, abs_tol) -> Trajectory:
         raise NonFiniteStateError(msg)
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteStateError("integration produced non-finite state")
-    return Trajectory(t, sol.y.T, rel_tol)
+    return Trajectory(t, sol.y.T)
 
 
 def _budgeted(f):

@@ -6,8 +6,9 @@ file output is UTF-8 with LF endings and 17-significant-digit floats
 JSON certificates), so identical configurations produce byte-identical
 files.
 
-Exit codes: 0 success/certified, 1 input error, 2 numerical failure,
-3 uncertified, 4 resonant denominator.
+Exit codes: 0 success/certified, 1 input error (a malformed command
+line included), 2 numerical failure, 3 uncertified, 4 resonant
+denominator.
 """
 
 from __future__ import annotations
@@ -470,7 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help
+            raise
+        return EXIT_INPUT  # argparse's usage error is an input error
     # looked up per call, so a replaced cmd_<command> takes effect
     command = {
         "certify": cmd_certify,

@@ -33,8 +33,8 @@ from .errors import (
     ZeroDriveError,
     ZeroNonlinearityError,
 )
-from .linalg import as_cmatrix, as_cvector, kron2, kron_pair
-from .system import QuadraticSystem, _taylor_solve, check_horizon
+from .linalg import as_cmatrix, as_cvector, kron2
+from .system import QuadraticSystem, _taylor_solve, check_block, check_horizon
 
 DETECTION_TOL_DEFAULT = 1e-9
 XMAX_SAFETY = 1.02
@@ -52,7 +52,6 @@ class InvariantStructure:
 
     conserved: list
     oscillating: list  # (vector, omega) pairs
-    tolerance: float
     violations: list = field(default_factory=list)
 
 
@@ -90,7 +89,7 @@ def detect_invariants(sys: QuadraticSystem) -> InvariantStructure:
                     "residual_f0": res_f0,
                 }
             )
-    return InvariantStructure(conserved, oscillating, tol, violations)
+    return InvariantStructure(conserved, oscillating, violations)
 
 
 def real_spectral_gap(lams) -> float:
@@ -187,6 +186,17 @@ class ConservativeCertificate:
     def gamma(self) -> float:
         return self.p * self.gamma0
 
+    def error_bound(self, j: int, k: int, t: float) -> float:
+        """Per-block truncation-error bound j/(2(k+1)) p^j R^(k+1) on the lift's block j.
+
+        The bound is for the lift of the system rescaled by :attr:`gamma`
+        and is uniform in time, so ``t`` is only validated.
+        """
+        check_block(j, k, t)
+        if not self.certified:
+            raise UncertifiedError(self.reason or "certificate is not certified")
+        return float(j / (2.0 * (k + 1)) * self.p**j * self.value ** (k + 1))
+
 
 def certify_conservative(
     sys: QuadraticSystem,
@@ -269,15 +279,6 @@ def certify_conservative(
         upsilon=upsilon,
         caveats=("empirical-supremum",),
     )
-
-
-def conservative_error_bound(cert: ConservativeCertificate, j: int, k: int) -> float:
-    """Time-uniform per-block bound j/(2(k+1)) p^j R^(k+1) for the rescaled lift."""
-    if not cert.certified:
-        raise UncertifiedError(cert.reason or "certificate is not certified")
-    if not (1 <= j <= k):
-        raise ValueError("need 1 <= j <= k")
-    return float(j / (2.0 * (k + 1)) * cert.p**j * cert.value ** (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ class PolynomialLift:
 
     def lift_state(self, x0) -> np.ndarray:
         v = as_cvector(x0)
-        return np.concatenate([v, kron_pair(v)])
+        return np.concatenate([v, kron2(v, v)])
 
 
 def embed_polynomial_conserved(sys: QuadraticSystem) -> PolynomialLift:

@@ -44,7 +44,7 @@ from .errors import (
     check_cap,
 )
 from .linalg import HullStatus, as_cvector, kron2, multiset_rows, origin_hull_status
-from .system import QuadraticSystem, Spectrum
+from .system import QuadraticSystem, Spectrum, check_block
 
 RESONANCE_RTOL = 1e-10
 DENOMINATOR_RTOL = 1e-12
@@ -483,47 +483,6 @@ def norm_bounds_check(diag: CarlemanDiagonalization, delta: float | None) -> dic
     return {"sparsity": s, "rows": rows, "all_ok": all_ok}
 
 
-VARIANTS = ("poincare", "siegel_split", "oscillating_f2")
-
-
-def nonresonant_error_bound(
-    i: int,
-    k: int,
-    t: float,
-    q_norm: float,
-    f2_tilde_norm: float,
-    x_max_tilde: float,
-    r_value: float,
-    variant: str = "poincare",
-) -> float:
-    """Per-block truncation-error bound for the three nonresonant certificates.
-
-    The split-Siegel variant carries an extra sqrt(2); the oscillating
-    variant uses the frequency-based R-number in place of the gap-based
-    one (the caller passes whichever applies).
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if not (1 <= i <= k):
-        raise ValueError("need 1 <= i <= k")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not r_value < 1.0:
-        raise UncertifiedError(f"R-number {r_value} >= 1: no convergence certificate")
-    base = (
-        k
-        * t
-        * q_norm**i
-        * f2_tilde_norm
-        * x_max_tilde ** (i + 1)
-        * r_value ** (k - i)
-        * comb(k - 1, i - 1)
-    )
-    if variant == "siegel_split":
-        base *= math.sqrt(2.0)
-    return float(base)
-
-
 @dataclass(frozen=True)
 class ShiftedSystem:
     """Autonomous image of a system with oscillating quadratic term."""
@@ -584,17 +543,31 @@ class NonresonantCertificate:
     sparsity: int | None = None
     caveats: tuple = ()
 
-    def error_bound(self, i: int, k: int, t: float) -> float:
-        return nonresonant_error_bound(
-            i,
-            k,
-            t,
-            self.q_norm,
-            self.f2_tilde_norm,
-            self.x_max_tilde,
-            self.value,
-            variant=self.variant,
+    def error_bound(self, j: int, k: int, t: float) -> float:
+        """Per-block truncation-error bound on the lift's block j at time t.
+
+        k t ||Q||^j ||F2~|| x_max~^(j+1) R^(k-j) C(k-1, j-1), for the
+        system as given (no rescaling).  The bound grows linearly in t,
+        and only the ``siegel_split`` variant carries the extra sqrt(2);
+        the oscillating variant's R is the frequency-based one.
+        """
+        check_block(j, k, t)
+        if not self.value < 1.0:
+            raise UncertifiedError(
+                f"R-number {self.value} >= 1: no convergence certificate"
+            )
+        base = (
+            k
+            * t
+            * self.q_norm**j
+            * self.f2_tilde_norm
+            * self.x_max_tilde ** (j + 1)
+            * self.value ** (k - j)
+            * comb(k - 1, j - 1)
         )
+        if self.variant == "siegel_split":
+            base *= math.sqrt(2.0)
+        return float(base)
 
 
 def _uncertified(variant: str, reason: str) -> NonresonantCertificate:

@@ -29,12 +29,12 @@ from .linalg import (
     _pd_sqrt_factors,
     as_cmatrix,
     as_cvector,
-    kron_square,
+    kron2,
     log_norm,
     solve_lyapunov,
     spectral_norm,
 )
-from .system import QuadraticSystem, rescale
+from .system import QuadraticSystem, check_block, rescale
 
 BLOCH_GRID_RESOLUTION = 21
 # the n = 2 pattern search: a (2 * half width + 1)^3 stencil of Bloch
@@ -84,7 +84,7 @@ def r_p(sys: QuadraticSystem, x0, p) -> float:
     root, inv_root = _pd_sqrt_factors(p)
     f0_p = as_cvector(root @ sys.f0)
     f1_p = as_cmatrix(root @ sys.f1 @ inv_root)
-    f2_p = as_cmatrix(root @ sys.f2 @ kron_square(inv_root))
+    f2_p = as_cmatrix(root @ sys.f2 @ kron2(inv_root, inv_root))
     y = _check_x0(root @ v)
     mu_p = log_norm(f1_p)
     if mu_p >= 0:
@@ -100,8 +100,7 @@ class StabilityCertificate:
     ``value`` is the best R-number found (criterion tells which family);
     ``certified`` requires value < 1 together with a rescaling gamma for
     which the decay budget xi is negative and the rescaled initial state
-    has P-norm below one.  The remaining fields feed
-    :func:`stable_error_bound`.
+    has P-norm below one.  The remaining fields feed :meth:`error_bound`.
     """
 
     criterion: str
@@ -118,6 +117,24 @@ class StabilityCertificate:
     x0_p_rescaled: float | None = None
     kappa_p: float | None = None
     late_time_estimate: float | None = None
+
+    def error_bound(self, j: int, k: int, t: float) -> float:
+        """Per-block truncation-error bound implied by a certified witness.
+
+        The bound k ||F2||_P ||P^{-1}||^{j/2} ||x(0)||_P^{k+1} / (-xi) is
+        for the lift's block j of the system rescaled by :attr:`gamma`.
+        It is uniform in time, so ``t`` is only validated.
+        """
+        check_block(j, k, t)
+        if not self.certified or self.xi is None or self.xi >= 0:
+            raise UncertifiedError("certificate is not certified")
+        return float(
+            k
+            * self.f2_p_rescaled
+            * self.p_inv_norm ** (j / 2.0)
+            * self.x0_p_rescaled ** (k + 1)
+            / (-self.xi)
+        )
 
 
 def _bloch_matrices(res: int) -> np.ndarray:
@@ -478,28 +495,6 @@ def optimize_rp(sys: QuadraticSystem, x0, budget: int = 2000) -> StabilityCertif
     if best_p is None:
         return uncertified("no positive-definite witness evaluated successfully")
     return _certificate_from_p(sys, v, best_p, best_val, alpha, mu)
-
-
-def stable_error_bound(cert: StabilityCertificate, j: int, k: int, t: float) -> float:
-    """Per-block truncation-error bound implied by a certified witness.
-
-    Applies to the gamma-rescaled system the certificate records; the
-    bound k ||F2||_P ||P^{-1}||^{j/2} ||x(0)||_P^{k+1} / (-xi) is uniform
-    in time, so ``t`` only participates in validation.
-    """
-    if not cert.certified or cert.xi is None or cert.xi >= 0:
-        raise UncertifiedError("certificate is not certified")
-    if not (1 <= j <= k):
-        raise ValueError("need 1 <= j <= k")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return float(
-        k
-        * cert.f2_p_rescaled
-        * cert.p_inv_norm ** (j / 2.0)
-        * cert.x0_p_rescaled ** (k + 1)
-        / (-cert.xi)
-    )
 
 
 def scan_point(sys: QuadraticSystem, x0, budget: int = 400) -> dict:

@@ -34,8 +34,7 @@ from .linalg import (
     as_cvector,
     column_sparsity,
     eig,
-    kron_pair,
-    kron_square,
+    kron2,
     spectral_norm,
 )
 
@@ -91,7 +90,7 @@ class QuadraticSystem:
         dimension checks that :func:`rhs` makes.  The Taylor solves do not
         call it: they take the field's coefficients.
         """
-        return self.f0 + self.f1 @ y + self.f2 @ kron_pair(y)
+        return self.f0 + self.f1 @ y + self.f2 @ kron2(y, y)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -129,7 +128,7 @@ class Spectrum:
         for a in (dec.eigenvalues, dec.right_vectors, dec.inverse_vectors):
             a.flags.writeable = False
         q = dec.right_vectors
-        f2t = dec.inverse_vectors @ sys.f2 @ kron_square(q)
+        f2t = dec.inverse_vectors @ sys.f2 @ kron2(q, q)
         f2t.flags.writeable = False
         f2n = float(spectral_norm(f2t)) if np.all(np.isfinite(f2t)) else np.nan
         f0n = float(np.linalg.norm(dec.inverse_vectors @ sys.f0))
@@ -180,7 +179,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
-    tolerance: float = field(default=np.nan)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -241,6 +239,14 @@ def check_tolerance(tol: float) -> None:
     """Refuse a solve tolerance outside [1e-14, 1e-3] (NaN included)."""
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError(f"tolerance {tol} outside [1e-14, 1e-3]")
+
+
+def check_block(j: int, k: int, t: float) -> None:
+    """Refuse a lift block j outside 1..k or a negative time (an error bound's arguments)."""
+    if not (1 <= j <= k):
+        raise ValueError("need 1 <= j <= k")
+    if t < 0:
+        raise ValueError("time must be nonnegative")
 
 
 def _sample_times(times) -> np.ndarray:
@@ -332,7 +338,7 @@ def _taylor_solve(
             acc += y[0]
             states[filled:last] = acc[:-1]
             x, filled, now, r = acc[-1], last, stop, h
-    return Trajectory(t, states, rel_tol)
+    return Trajectory(t, states)
 
 
 def _homogenized(f0, f1, f2) -> np.ndarray:

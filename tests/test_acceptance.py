@@ -25,7 +25,6 @@ from carleman_lab.carleman import (
 from carleman_lab.cli import main as cli_main
 from carleman_lab.conservative import (
     certify_conservative,
-    conservative_error_bound,
     embed_driving,
     embed_polynomial_conserved,
 )
@@ -53,7 +52,7 @@ from carleman_lab.nonresonant import (
     diagonalize_carleman,
     shift_oscillating_f2,
 )
-from carleman_lab.stability import optimize_rp, r_mu, r_p, stable_error_bound
+from carleman_lab.stability import optimize_rp, r_mu, r_p
 from carleman_lab.system import (
     QuadraticSystem,
     integrate_reference,
@@ -184,8 +183,8 @@ def test_criterion_06_stable_family_bounds():
                 resc, x0_resc, k, times, tol=oracle_tol, reference=ref
             )
             for row, t in enumerate(times[1:], start=1):
-                assert prof.block_norms[row, 0] <= stable_error_bound(
-                    cert, 1, k, float(t)
+                assert prof.block_norms[row, 0] <= cert.error_bound(
+                    1, k, float(t)
                 ) + slack
             errs_at_2.append(prof.block_norms[2, 0])
         clean = [e for e in errs_at_2 if e > slack]
@@ -221,8 +220,8 @@ def test_criterion_07_conservative_family_bounds():
                 resc, gamma * fx.x0, k, times, tol=1e-12, reference=ref
             )
             for j in range(1, k + 1):
-                assert prof.block_norms[:, j - 1].max() <= conservative_error_bound(
-                    cert, j, k
+                assert prof.block_norms[:, j - 1].max() <= cert.error_bound(
+                    j, k, float(times[-1])
                 )
     # complementarity of the two criteria at the reference point
     assert certify_conservative(

@@ -593,12 +593,19 @@ class TestParserCache:
             assert capsys.readouterr().err == fresh.stderr
             assert here_out.read_bytes() == fresh_out.read_bytes()
             # an argparse error between calls leaves the parser as it was
-            with pytest.raises(SystemExit) as exc:
-                main(self.BAD)
-            assert exc.value.code == 2
+            assert main(self.BAD) == 1
             bad_err = capsys.readouterr().err
         fresh = self.fresh(self.BAD)
-        assert (fresh.returncode, fresh.stderr) == (2, bad_err)
+        assert (fresh.returncode, fresh.stderr) == (1, bad_err)
+
+    def test_usage_error_is_an_input_error(self, capsys):
+        # argparse's own message, under the input-error exit code
+        assert main(["certify", "--fixture", "scalar", "--t", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "invalid float value: 'abc'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
 
     def test_replaced_command_is_called(self, monkeypatch):
         parser = cli.build_parser()
@@ -810,8 +817,7 @@ class TestCertifyChain:
         )
 
     def test_tight_first_block_flag_is_gone(self):
-        with pytest.raises(SystemExit):
-            run(["certify", "--fixture", "scalar", "--tight-first-block"])
+        assert run(["certify", "--fixture", "scalar", "--tight-first-block"]) == 1
 
 
 class TestDumpStatesReuse:

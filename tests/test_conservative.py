@@ -11,7 +11,6 @@ from carleman_lab.carleman import error_profile, integrate_nonautonomous
 from carleman_lab.cli import main as cli_main
 from carleman_lab.conservative import (
     certify_conservative,
-    conservative_error_bound,
     detect_invariants,
     embed_driving,
     embed_polynomial_conserved,
@@ -292,14 +291,14 @@ class TestConservativeErrorBound:
     def test_top_block_substitution(self):
         _fx, cert = self._cert()
         k = 5
-        assert conservative_error_bound(cert, k, k) == pytest.approx(
+        assert cert.error_bound(k, k, 0.0) == pytest.approx(
             (k / (2 * (k + 1))) * cert.p**k * cert.value ** (k + 1)
         )
 
     def test_arithmetic(self):
         _fx, cert = self._cert()
         manual = 1 / 12 * cert.p * cert.value**6
-        assert conservative_error_bound(cert, 1, 5) == pytest.approx(manual)
+        assert cert.error_bound(1, 5, 0.0) == pytest.approx(manual)
 
     def test_measured_rescaled_errors_below_bound(self):
         fx, cert = self._cert()
@@ -309,16 +308,14 @@ class TestConservativeErrorBound:
             resc, gamma * fx.x0, 6, np.array([0.0, 1.0, 2.0, 5.0]), tol=1e-12
         )
         for j in range(1, 7):
-            assert prof.block_norms[:, j - 1].max() <= conservative_error_bound(
-                cert, j, 6
-            )
+            assert prof.block_norms[:, j - 1].max() <= cert.error_bound(j, 6, 5.0)
 
     def test_uncertified_rejected(self):
         fx = conservative_toy(a=2.0, b=2.0, x1=0.5, x2=0.2)
         cert = certify_conservative(fx.system, fx.x0, horizon=5.0)
         assert not cert.certified
         with pytest.raises(UncertifiedError):
-            conservative_error_bound(cert, 1, 5)
+            cert.error_bound(1, 5, 0.0)
 
     def test_conserved_quantity_constant_along_flow(self):
         fx = conservative_toy(a=0.05, b=0.05, x1=0.5, x2=0.1)

@@ -1,10 +1,9 @@
 """``np.kron`` stays out of the certify hot paths.
 
 The reference and supremum solves, the R_P search and the spectral
-context take their Kronecker products through ``linalg.kron_pair``,
-``kron_square`` and ``kron2``, which are bitwise equal to ``np.kron``
-but skip its per-call overhead (about 17 us, against a 2 us product at
-n = 2).  The check reads the source with ``ast``, so docstrings that
+context take their Kronecker products through ``linalg.kron2``, which
+is bitwise equal to ``np.kron`` but skips its per-call overhead (about
+17 us, against a 2 us product at n = 2).  The check reads the source with ``ast``, so docstrings that
 name ``np.kron`` do not count.
 """
 

@@ -286,26 +286,26 @@ _sizes = st.integers(min_value=1, max_value=5)
 
 
 class TestKernels:
-    """The broadcast Kronecker kernels and spectral_norm against the numpy oracle, bit for bit."""
+    """The broadcast Kronecker kernel and spectral_norm against the numpy oracle, bit for bit."""
 
     def test_kron_pair_at_n1(self):
         # y[:, None] * y rounds this product without FMA, np.kron with it
         y = np.array([94906267.0 + 16160.0j])
-        assert _bitwise_equal(linalg.kron_pair(y), np.kron(y, y))
+        assert _bitwise_equal(linalg.kron2(y, y), np.kron(y, y))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=_sizes)
     def test_kron_pair(self, data, n):
         y = data.draw(_complex_array((2 * n,)))
         for v in (y[:n], y[::2]):  # contiguous and strided
-            assert _bitwise_equal(linalg.kron_pair(v), np.kron(v, v))
+            assert _bitwise_equal(linalg.kron2(v, v), np.kron(v, v))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=_sizes)
     def test_kron_square(self, data, n):
         m = data.draw(_complex_array((n, n)))
         for a in (m, np.asfortranarray(m), m.T):
-            assert _bitwise_equal(linalg.kron_square(a), np.kron(a, a))
+            assert _bitwise_equal(linalg.kron2(a, a), np.kron(a, a))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), rows=_sizes, cols=_sizes, rows2=_sizes, cols2=_sizes)

@@ -22,6 +22,7 @@ from carleman_lab.nonresonant import (
     BOUNDARY,
     POINCARE,
     SIEGEL,
+    NonresonantCertificate,
     block_norm,
     build_nl,
     build_v_blocks,
@@ -40,7 +41,6 @@ from carleman_lab.nonresonant import (
     diagonalize_carleman,
     find_siegel_split,
     level_sums,
-    nonresonant_error_bound,
     norm_bounds_check,
     shift_oscillating_f2,
 )
@@ -1177,18 +1177,29 @@ class TestRBigDelta:
 
 
 class TestErrorBoundFormula:
+    @staticmethod
+    def _cert(q_norm, f2_tilde_norm, x_max_tilde, value, variant="poincare"):
+        return NonresonantCertificate(
+            variant=variant,
+            value=value,
+            certified=value < 1.0,
+            x_max_tilde=x_max_tilde,
+            q_norm=q_norm,
+            f2_tilde_norm=f2_tilde_norm,
+        )
+
     def test_first_block_form(self):
-        val = nonresonant_error_bound(1, 5, 2.0, 1.3, 0.2, 0.8, 0.5)
+        val = self._cert(1.3, 0.2, 0.8, 0.5).error_bound(1, 5, 2.0)
         assert val == pytest.approx(5 * 2.0 * 1.3 * 0.2 * 0.8**2 * 0.5**4)
 
     def test_split_variant_carries_sqrt2(self):
-        base = nonresonant_error_bound(2, 5, 1.0, 1.0, 0.1, 0.5, 0.3)
-        split = nonresonant_error_bound(2, 5, 1.0, 1.0, 0.1, 0.5, 0.3, "siegel_split")
+        base = self._cert(1.0, 0.1, 0.5, 0.3).error_bound(2, 5, 1.0)
+        split = self._cert(1.0, 0.1, 0.5, 0.3, "siegel_split").error_bound(2, 5, 1.0)
         assert split == pytest.approx(base * math.sqrt(2))
 
     def test_uncertified_rejected(self):
         with pytest.raises(UncertifiedError):
-            nonresonant_error_bound(1, 5, 1.0, 1.0, 0.1, 0.5, 1.2)
+            self._cert(1.0, 0.1, 0.5, 1.2).error_bound(1, 5, 1.0)
 
     def test_certified_scalar_measured_below_bound(self):
         sys = QuadraticSystem(f0=np.zeros(1), f1=[[-1.0]], f2=[[0.05]])

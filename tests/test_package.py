@@ -10,6 +10,10 @@ One module enumerates index multisets: ``linalg.multiset_rows`` is the
 only place the package names ``combinations_with_replacement``, and both
 the lift's multiset coordinates and the no-resonance gap read it.
 
+One per-block error bound: each certificate class has an
+``error_bound(self, j, k, t)`` method, and no module defines a free
+``*_error_bound`` function beside them.
+
 Every public top-level function or class of the package is reached: some
 other top-level statement of the package, a demo, the benchmark or the
 acceptance suite names it.  A definition that only its own unit tests
@@ -194,3 +198,25 @@ def test_one_module_enumerates_multisets():
         if "combinations_with_replacement" in names_read(ast.parse(p.read_text()))
     ]
     assert naming == ["linalg"]
+
+
+CERTIFICATES = {
+    "stability": "StabilityCertificate",
+    "conservative": "ConservativeCertificate",
+    "nonresonant": "NonresonantCertificate",
+}
+
+
+def test_one_error_bound_per_certificate():
+    bounds = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                assert not top.name.endswith("_error_bound"), (p.stem, top.name)
+            if isinstance(top, ast.ClassDef) and top.name.endswith("Certificate"):
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "error_bound":
+                        bounds[(p.stem, top.name)] = [a.arg for a in item.args.args]
+    assert bounds == {
+        (module, name): ["self", "j", "k", "t"] for module, name in CERTIFICATES.items()
+    }

@@ -23,7 +23,6 @@ from carleman_lab.stability import (
     r_mu,
     r_p,
     scan_point,
-    stable_error_bound,
 )
 from carleman_lab.system import QuadraticSystem, Spectrum, rescale
 from rp_oracle import nelder_mead_planar_rp
@@ -660,14 +659,14 @@ class TestStableErrorBound:
 
     def test_exponent_scaling_in_k(self):
         _sys, cert = self._certified()
-        b5 = stable_error_bound(cert, 1, 5, 1.0)
-        b7 = stable_error_bound(cert, 1, 7, 1.0)
+        b5 = cert.error_bound(1, 5, 1.0)
+        b7 = cert.error_bound(1, 7, 1.0)
         expected = (7 / 5) * cert.x0_p_rescaled**2
         assert b7 / b5 == pytest.approx(expected, rel=1e-12)
 
     def test_first_block_identity_weight_drops_pinv_factor(self):
         _sys, cert = self._certified()
-        b = stable_error_bound(cert, 1, 4, 1.0)
+        b = cert.error_bound(1, 4, 1.0)
         manual = (
             4 * cert.f2_p_rescaled * cert.p_inv_norm**0.5 * cert.x0_p_rescaled**5
         ) / (-cert.xi)
@@ -679,7 +678,7 @@ class TestStableErrorBound:
         prof = error_profile(
             resc, [cert.gamma * 0.5], 6, np.array([0.0, 2.0]), tol=1e-12
         )
-        assert prof.block_norms[-1, 0] <= stable_error_bound(cert, 1, 6, 2.0)
+        assert prof.block_norms[-1, 0] <= cert.error_bound(1, 6, 2.0)
 
     def test_all_blocks_below_bound_on_certified_oscillator(self):
         fx = damped_oscillator(r=1.5, n=0.1)
@@ -689,16 +688,14 @@ class TestStableErrorBound:
         for k in (4, 7):
             prof = error_profile(resc, cert.gamma * fx.x0, k, times, tol=1e-12)
             for j in range(1, k + 1):
-                assert prof.block_norms[:, j - 1].max() <= stable_error_bound(
-                    cert, j, k, 5.0
-                )
+                assert prof.block_norms[:, j - 1].max() <= cert.error_bound(j, k, 5.0)
 
     def test_uncertified_rejected(self):
         cert = StabilityCertificate(
             criterion="R_P", value=2.0, alpha=-1.0, mu=-1.0, certified=False
         )
         with pytest.raises(UncertifiedError):
-            stable_error_bound(cert, 1, 4, 1.0)
+            cert.error_bound(1, 4, 1.0)
 
 
 class TestRegionScan:
