@@ -33,8 +33,9 @@ Neudecker, "The elimination matrix", SIAM J. Alg. Disc. Meth. 1(4),
     4  7 21 844        329
 
 The dimension cap (:func:`errors.check_cap`) counts full coordinates,
-n + n^2 + ... + n^k.  The full blocks of :func:`build_blocks` serve only
-the tests' oracles and the benchmark's tracer.
+n + n^2 + ... + n^k.  Lift states stay in multiset coordinates; only
+``simulate --dump-states`` expands them, one sample at a time.  The full
+blocks of :func:`build_blocks` serve only test oracles and the bench tracer.
 
 The module also hosts :func:`integrate_nonautonomous`, the scipy RK45
 solve that cross-checks the autonomous embeddings of driven and
@@ -498,7 +499,7 @@ class ErrorProfile:
     block_norms: np.ndarray  # shape (len(times), k)
     k_used: int
     reference: Trajectory | None = field(default=None, repr=False)
-    lift: Trajectory | None = field(default=None, repr=False)
+    lift: Trajectory | None = field(default=None, repr=False)  # multiset coordinates
 
 
 def error_profile(
@@ -516,7 +517,7 @@ def error_profile(
     and the error is formed by direct subtraction from the reference's
     monomials; the block norms follow from
     ||x^(j) - y_j||^2 = sum_alpha (j choose alpha) |x^alpha - y_alpha|^2.
-    ``lift`` holds the lifted states expanded to full coordinates.  The
+    ``lift`` holds the lifted states in those multiset coordinates.  The
     defect ODE formulation is kept as a test property, not recomputed here.
     """
     t = np.asarray(times, dtype=float)
@@ -526,13 +527,11 @@ def error_profile(
     n = sys.n
     lifted = build_symmetric_lift(sys, k, cap=cap)
     lift = integrate_lift(lifted, symmetric_monomials(x0, n, k).ravel(), t, cap=cap)
-    index = multiset_index(n, k)
     diff = symmetric_monomials(ref.states, n, k) - lift.states
-    squares = np.bincount(index) * np.abs(diff) ** 2
+    squares = np.bincount(multiset_index(n, k)) * np.abs(diff) ** 2
     starts = [symmetric_dimension(n, j) for j in range(k)]
     norms = np.sqrt(np.add.reduceat(squares, starts, axis=1))
-    full = Trajectory(lift.times, lift.states[:, index])
-    return ErrorProfile(t, norms, k, reference=ref, lift=full)
+    return ErrorProfile(t, norms, k, reference=ref, lift=lift)
 
 
 def convergence_sweep(

